@@ -51,14 +51,20 @@ def _parse_shape(text: str) -> tuple:
 
 
 def _read_input(path: str, fmt: str | None, connectivity, invert: bool):
-    if path == "-":
-        text = sys.stdin.read()
-    else:
-        try:
+    source = "stdin" if path == "-" else path
+    try:
+        if path == "-":
+            text = sys.stdin.read()
+        else:
             with open(path, "r", encoding="ascii") as fh:
                 text = fh.read()
-        except OSError as exc:
-            raise FormatError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{source}: non-ASCII byte at offset {exc.start}") from None
+    except OSError as exc:
+        raise FormatError(f"cannot read {path}: {exc}") from None
+    if not text.isascii():
+        offset = next(i for i, ch in enumerate(text) if not ch.isascii())
+        raise FormatError(f"{source}: non-ASCII character at offset {offset}")
     if fmt is None:
         fmt = sniff_format(text)
     field = read_field(text, fmt, connectivity)
@@ -76,7 +82,7 @@ def _emit_text(text: str, path: str):
 
 
 def _emit_json(obj, path: str):
-    _emit_text(json.dumps(obj, indent=2) + "\n", path)
+    _emit_text(json.dumps(obj, indent=2, allow_nan=False) + "\n", path)
 
 
 def _emit_field(field: ScalarField, path: str, fmt: str, invert: bool):
@@ -93,10 +99,10 @@ def _field_output_format(args, input_fmt: str, field: ScalarField) -> str:
     return "csv-1d" if field.ndim == 1 else "field-nd"
 
 
-def _labels_format(field: ScalarField) -> str:
-    if field.ndim == 1:
+def _labels_format(labels) -> str:
+    if len(labels.shape) == 1:
         return "csv-1d"
-    if field.ndim == 2:
+    if len(labels.shape) == 2 and max(labels.labels) <= 65535:  # pgm-2d maxval limit
         return "pgm-2d"
     return "field-nd"
 
@@ -149,7 +155,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--output-format", choices=["csv-1d", "pgm-2d", "field-nd"], default=None)
 
-    p = sub.add_parser("watershed", help="basin labels (csv-1d / pgm-2d / field-nd by dimension)")
+    p = sub.add_parser(
+        "watershed",
+        help="basin labels: csv-1d in 1D, pgm-2d in 2D (field-nd past label 65535), field-nd above",
+    )
     add_input(p)
 
     p = sub.add_parser("saliency", help="boundary saliency as JSON edge list or doubled grid")
@@ -174,7 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fail-fast", action="store_true")
     p.add_argument("--no-oracle", action="store_true",
                    help="skip the per-minimum path oracle (pairings only)")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--output", default="-")
 
     p = sub.add_parser("gen", help="write a seeded test field")
@@ -245,7 +253,7 @@ def _cmd_watershed(args, conn, invert) -> int:
     field, _ = _read_input(args.input, args.format, conn, invert)
     labels = watershed(field)
     label_field = ScalarField(field.shape, [float(l) for l in labels.labels], field.connectivity)
-    _emit_text(write_field(label_field, fmt=_labels_format(field)), args.output)
+    _emit_text(write_field(label_field, fmt=_labels_format(labels)), args.output)
     return EXIT_OK
 
 
@@ -276,6 +284,8 @@ def _cmd_segment(args, conn, invert) -> int:
 
 
 def _cmd_verify(args, conn, invert) -> int:
+    if args.trials < 1:
+        raise UsageError(f"--trials must be >= 1, got {args.trials}")
     shape = _parse_shape(args.shape)
     specs = [
         GeneratorSpec(
@@ -291,7 +301,6 @@ def _cmd_verify(args, conn, invert) -> int:
         specs,
         fail_fast=args.fail_fast,
         check_oracle=not args.no_oracle,
-        threads=args.threads,
     )
     _emit_json(report.to_json(), args.output)
     return EXIT_OK if report.pairings_identical else EXIT_DIVERGENCE

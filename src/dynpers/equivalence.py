@@ -236,35 +236,21 @@ def sweep(
     check_oracle: bool = True,
     dynamics_fn=None,
     persistence_fn=None,
-    threads: int = 1,
 ) -> EquivalenceReport:
-    """Fold single-field reports over a spec list.
+    """Fold single-field reports over a spec list, one field after another.
 
     ``first_counterexample`` follows spec-list order; with ``fail_fast`` the
-    sweep stops at the first divergence.  ``threads > 1`` evaluates fields
-    concurrently (each check is pure).
+    sweep stops at the first divergence.
     """
-    specs = list(specs)
-
-    def run_one(spec):
+    reports = []
+    for spec in specs:
         field = generate(spec)
         report = verify_equivalence(field, spec, check_oracle, dynamics_fn, persistence_fn)
         if not report.pairings_identical:
             report = _shrink(field, spec, check_oracle, dynamics_fn, persistence_fn)
-        return report
-
-    reports = []
-    if threads > 1 and not fail_fast:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            reports = list(pool.map(run_one, specs))
-    else:
-        for spec in specs:
-            report = run_one(spec)
-            reports.append(report)
-            if fail_fast and not report.pairings_identical:
-                break
+        reports.append(report)
+        if fail_fast and not report.pairings_identical:
+            break
 
     identical = all(r.pairings_identical for r in reports)
     first = next((r for r in reports if not r.pairings_identical), None)

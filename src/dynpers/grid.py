@@ -10,6 +10,7 @@ comparisons between vertices go through the lexicographic key
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field as _dc_field
 from enum import Enum
 
@@ -43,7 +44,8 @@ class ScalarField:
     shape : tuple of int
         Extent per axis, every extent >= 1.
     values : ndarray
-        Flat float64 array of finite values, row-major, one per vertex.
+        Flat float64 array of finite values, row-major, one per vertex; the
+        range ``max - min`` must be finite too, so every pair value is.
     connectivity : Connectivity or str
         Neighborhood rule, ``axis`` (default) or ``full``.
     """
@@ -67,6 +69,8 @@ class ScalarField:
             )
         if not np.all(np.isfinite(vals)):
             raise UsageError("field values must all be finite")
+        if not math.isfinite(float(vals.max()) - float(vals.min())):
+            raise UsageError("field value range max - min overflows float64")
         vals = vals.copy()
         vals.flags.writeable = False
         object.__setattr__(self, "shape", shape)

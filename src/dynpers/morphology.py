@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
 
@@ -194,10 +195,7 @@ class GranulometricCurve:
         """Number of minima with dynamics >= t (t positive)."""
         if not t > 0.0:
             raise UsageError(f"granulometric curve is defined for t > 0, got {t}")
-        k = 0
-        while k < len(self.breakpoints) and self.breakpoints[k] < t:
-            k += 1
-        return self.counts[k]
+        return self.counts[bisect_left(self.breakpoints, t)]
 
     def to_json(self) -> dict:
         return {"breakpoints": list(self.breakpoints), "counts": list(self.counts)}
@@ -208,10 +206,7 @@ def granulometric_curve(pairs) -> GranulometricCurve:
     finite = sorted(p.value for p in pairs if not p.is_essential)
     total = len(pairs)  # one pair per minimum, essential included
     breakpoints = sorted(set(finite))
-    counts = [total]
-    for b in breakpoints:
-        cancelled = sum(1 for v in finite if v <= b)
-        counts.append(total - cancelled)
+    counts = [total] + [total - bisect_right(finite, b) for b in breakpoints]
     return GranulometricCurve(breakpoints=tuple(breakpoints), counts=tuple(counts))
 
 
@@ -295,6 +290,46 @@ def _absorption_tree(field: ScalarField, labels: WatershedLabels):
     return parent, weight
 
 
+def _fuse_levels(parent, weight, basin_pairs) -> dict:
+    """Largest absorption-tree weight on the path between each pair's basins.
+
+    Kruskal order: joining the tree edges ``(weight[m], m, parent[m])`` by
+    ascending weight, a pair's basins first share a set at the union over the
+    heaviest edge of their path.  Each set root keeps its unresolved pairs;
+    at a union the smaller list is resolved or moved into the larger one.
+    """
+    pending = {}
+    for key in basin_pairs:
+        pending.setdefault(key[0], []).append(key)
+        pending.setdefault(key[1], []).append(key)
+    up = {}  # union-find links; roots have no entry
+
+    def find(x):
+        while x in up:
+            nxt = up.get(up[x], up[x])  # path halving
+            up[x] = nxt
+            x = nxt
+        return x
+
+    level = {}
+    for w, m, p in sorted((weight[m], m, parent[m]) for m in parent):
+        small, large = find(m), find(p)
+        if len(pending.get(small, ())) > len(pending.get(large, ())):
+            small, large = large, small
+        up[small] = large
+        moved = pending.pop(small, ())
+        if moved:
+            keep = pending.setdefault(large, [])
+            for key in moved:
+                if key in level:
+                    continue
+                if find(key[0]) == find(key[1]):
+                    level[key] = w
+                else:
+                    keep.append(key)
+    return level
+
+
 def saliency(field: ScalarField) -> SaliencyMap:
     """Closed-form saliency from the cancellation hierarchy.
 
@@ -304,33 +339,18 @@ def saliency(field: ScalarField) -> SaliencyMap:
     """
     labels = watershed(field)
     parent, weight = _absorption_tree(field, labels)
+    lab = labels.labels
 
-    def fuse_level(a: int, b: int) -> float:
-        seen = {}
-        x, run = a, 0.0
-        while True:
-            seen[x] = run
-            if x not in parent:
-                break
-            run = max(run, weight[x])
-            x = parent[x]
-        x, run = b, 0.0
-        while x not in seen:
-            run = max(run, weight[x])
-            x = parent[x]
-        return max(run, seen[x])
+    def basin_pair(u, v):
+        a, b = lab[u], lab[v]
+        return None if a == b else (a, b) if a < b else (b, a)
 
+    # Two passes over the edges, so no per-edge list is held beside the output.
+    fuse = _fuse_levels(parent, weight, {basin_pair(u, v) for u, v in iter_edges(field)} - {None})
     edge_values = []
-    cache = {}
     for u, v in iter_edges(field):
-        a, b = labels.labels[u], labels.labels[v]
-        if a == b:
-            edge_values.append(((u, v), 0.0))
-            continue
-        key = (a, b) if a < b else (b, a)
-        if key not in cache:
-            cache[key] = fuse_level(*key)
-        edge_values.append(((u, v), cache[key]))
+        key = basin_pair(u, v)
+        edge_values.append(((u, v), 0.0 if key is None else fuse[key]))
     return SaliencyMap(
         edge_values=tuple(edge_values), shape=field.shape, connectivity=field.connectivity
     )

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import UsageError
-from .grid import ScalarField, filtration_order, local_minima
+from .grid import ScalarField, filtration_order
 
 INF = math.inf
 
@@ -316,7 +316,3 @@ def pairs_to_json(pairs) -> list:
 def pairing_signature(pairs) -> set:
     """Hashable summary used to compare two pairings: (min, saddle, value)."""
     return {(p.min_vertex, p.saddle_vertex, p.value) for p in pairs}
-
-
-def count_local_minima(field: ScalarField) -> int:
-    return len(local_minima(field))

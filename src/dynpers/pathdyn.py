@@ -61,9 +61,9 @@ def dynamics_oracle(field: ScalarField, m: int) -> tuple:
     vals = field.values
     nbrs = field.neighbor_lists()
 
-    # The absolute minimum has nothing lower to reach.
-    lowest = min(range(field.n_vertices), key=lambda v: (float(vals[v]), v))
-    if lowest == m:
+    # The absolute minimum has nothing lower to reach; argmin picks the least
+    # index among tied minima, so it is the total order's least vertex.
+    if int(vals.argmin()) == m:
         return (INF, None)
 
     best: dict = {m: key_m}

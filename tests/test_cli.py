@@ -2,8 +2,10 @@ import json
 import subprocess
 import sys
 
+import numpy as np
+
 import dynpers.cli as cli
-from dynpers import pair_by_dynamics
+from dynpers import ScalarField, pair_by_dynamics, read_field, watershed
 
 SIGNAL_CSV = "5\n1\n4\n0\n6\n"
 
@@ -201,3 +203,48 @@ class TestPipes:
         a = run_cli(["pairs"], stdin=SIGNAL_CSV)
         b = run_cli(["pairs"], stdin=SIGNAL_CSV)
         assert a.stdout == b.stdout and a.returncode == 0
+
+
+OVERFLOW_CSV = "1.7e308\n-1.7e308\n1.7e308\n-1.6e308\n1.7e308\n"
+
+
+class TestHostileInput:
+    def test_verify_rejects_nonpositive_trials(self, capsys, monkeypatch):
+        for trials in ("-3", "0"):
+            code, out, err = run_main(
+                ["verify", "--trials", trials, "--shape", "8", "--no-oracle"], "", capsys, monkeypatch
+            )
+            assert code == 1 and out == ""
+            assert err.count("\n") == 1 and "--trials" in err
+
+    def test_bom_file_is_parse_error(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + SIGNAL_CSV.encode("ascii"))
+        code, out, err = run_main(["pairs", str(path)], "", capsys, monkeypatch)
+        assert code == 2 and out == ""
+        assert err.startswith("dynpers: parse error:") and err.count("\n") == 1
+
+    def test_non_ascii_stdin_is_parse_error(self):
+        for text in ("\ufeff" + SIGNAL_CSV, "5\n\u0663\n4\n"):  # BOM; Arabic-Indic digit three
+            proc = run_cli(["curve"], stdin=text)
+            assert proc.returncode == 2 and proc.stdout == ""
+            assert proc.stderr.startswith("dynpers: parse error:")
+            assert proc.stderr.count("\n") == 1
+
+    def test_overflowing_range_rejected(self, capsys, monkeypatch):
+        for command in ("pairs", "curve"):
+            code, out, err = run_main([command], OVERFLOW_CSV, capsys, monkeypatch)
+            assert code == 1 and out == ""
+            assert err.startswith("dynpers: error:") and err.count("\n") == 1
+
+    def test_watershed_labels_past_pgm_maxval_round_trip(self, capsys, monkeypatch):
+        shape = (257, 256)
+        n = shape[0] * shape[1]
+        values = -np.abs(np.arange(n) - n // 2).astype(float)  # minima at 0 and n - 1
+        text = "FIELD 2 257 256\n" + "".join(f"{v!r}\n" for v in values.tolist())
+        code, out, err = run_main(["watershed"], text, capsys, monkeypatch)
+        assert code == 0, err
+        assert out.startswith("FIELD 2 257 256\n")
+        labels = read_field(out).values
+        expected = watershed(ScalarField(shape, values)).labels
+        assert labels.tolist() == list(expected) and labels.max() == n - 1

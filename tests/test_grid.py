@@ -24,6 +24,11 @@ class TestScalarField:
         with pytest.raises(UsageError):
             ScalarField((2,), [1.0, float("inf")])
 
+    def test_rejects_overflowing_range(self):
+        with pytest.raises(UsageError, match="range"):
+            ScalarField((2,), [1.7e308, -1.7e308])
+        assert ScalarField((2,), [1.7e308, 0.0]).n_vertices == 2
+
     def test_rejects_length_mismatch(self):
         with pytest.raises(UsageError):
             ScalarField((3,), [1.0, 2.0])

@@ -20,6 +20,7 @@ from dynpers import (
     watershed,
     watershed_from_markers,
 )
+from dynpers.morphology import _absorption_tree
 
 SIGNAL = ScalarField((5,), [5, 1, 4, 0, 6])
 GRID33 = ScalarField((3, 3), [9, 8, 10, 2, 7, 3, 11, 12, 13])
@@ -209,6 +210,87 @@ class TestSaliency:
     def test_json_keys(self):
         obj = saliency(SIGNAL).to_json()
         assert obj["1,2"] == 3.0 and obj["0,1"] == 0.0
+
+
+def level_fields():
+    """Integer fields with 2-4 levels (plateaus everywhere), 1D to 3D full, plus a nested comb."""
+    rng = np.random.default_rng(2024)
+    cases = [((31,), "axis"), ((9, 11), "axis"), ((9, 11), "full"), ((5, 4, 6), "full")]
+    for i in range(48):
+        shape, conn = cases[i % len(cases)]
+        vals = rng.integers(0, 2 + i % 3, size=int(np.prod(shape)))
+        yield ScalarField(shape, vals.astype(float), conn)
+    comb = [float(-(i // 2)) if i % 2 == 0 else 0.5 + 0.001 * (i // 2) for i in range(41)]
+    yield ScalarField((41,), comb)
+
+
+def reference_counts(pairs):
+    """Curve counts by counting the cancelled pairs at every breakpoint."""
+    finite = [p.value for p in pairs if not p.is_essential]
+    return tuple([len(pairs)] + [len(pairs) - sum(1 for v in finite if v <= b)
+                                 for b in sorted(set(finite))])
+
+
+def reference_value_at(curve, t):
+    k = 0
+    while k < len(curve.breakpoints) and curve.breakpoints[k] < t:
+        k += 1
+    return curve.counts[k]
+
+
+def reference_saliency(field):
+    """Edge saliency by walking both basins' absorption chains to their meeting point."""
+    labels = watershed(field)
+    parent, weight = _absorption_tree(field, labels)
+
+    def fuse_level(a, b):
+        seen = {}
+        x, run = a, 0.0
+        while True:
+            seen[x] = run
+            if x not in parent:
+                break
+            run = max(run, weight[x])
+            x = parent[x]
+        x, run = b, 0.0
+        while x not in seen:
+            run = max(run, weight[x])
+            x = parent[x]
+        return max(run, seen[x])
+
+    out = []
+    for u, v in iter_edges(field):
+        a, b = labels.labels[u], labels.labels[v]
+        out.append(((u, v), 0.0 if a == b else fuse_level(min(a, b), max(a, b))))
+    return tuple(out)
+
+
+class TestAgainstReference:
+    def test_granulometric_counts(self):
+        for f in level_fields():
+            pairs = pair_by_persistence(f)
+            curve = granulometric_curve(pairs)
+            assert curve.counts == reference_counts(pairs)
+            assert curve.breakpoints == tuple(sorted({p.value for p in pairs if not p.is_essential}))
+
+    def test_value_at_matches_linear_scan(self):
+        for f in level_fields():
+            curve = granulometric_curve(pair_by_persistence(f))
+            bps = list(curve.breakpoints)
+            probes = bps + [b * 0.5 for b in bps] + [b + 0.25 for b in bps] + [1e-9, 1e9]
+            probes += [(a + b) / 2 for a, b in zip(bps, bps[1:])]
+            for t in probes:
+                if t > 0:
+                    assert curve.value_at(t) == reference_value_at(curve, t), t
+
+    def test_saliency_matches_chain_walk(self):
+        for f in level_fields():
+            assert repr(saliency(f).edge_values) == repr(reference_saliency(f))
+
+    def test_saliency_matches_chain_walk_on_uniform_3d(self):
+        for seed in range(4):
+            f = random_field(seed, shape=(6, 5, 7), conn="full")
+            assert repr(saliency(f).edge_values) == repr(reference_saliency(f))
 
 
 def stack_boundary(field, t):

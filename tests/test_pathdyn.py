@@ -10,6 +10,7 @@ from dynpers import (
     dynamics_oracle,
     effort,
     exhaustive_dynamics,
+    local_minima,
     pair_by_dynamics,
 )
 
@@ -69,6 +70,49 @@ class TestDynamicsOracle:
         assert dynamics_oracle(f, 0) == (4.0, 2)
         pairs = {p.min_vertex: p for p in pair_by_dynamics(f)}
         assert pairs[0].saddle_vertex == 2
+
+
+class TestTiedGlobalMinimum:
+    """Only the total order's least vertex gets ``(inf, None)`` when minimum values tie."""
+
+    def assert_least_is_essential(self, field):
+        keys = [(float(v), i) for i, v in enumerate(field.values)]
+        least = min(range(field.n_vertices), key=keys.__getitem__)
+        for m in local_minima(field):
+            value, witness = dynamics_oracle(field, m)
+            assert (witness is None) == (m == least)
+            assert math.isinf(value) == (m == least)
+            if field.n_vertices <= 12:
+                assert value == exhaustive_dynamics(field, m)
+
+    def test_trailing_tie(self):
+        f = ScalarField((3,), [1, 0, 0])
+        assert dynamics_oracle(f, 1) == (math.inf, None)
+        self.assert_least_is_essential(f)
+
+    def test_tie_between_two_minima(self):
+        f = ScalarField((3,), [0, 1, 0])
+        assert dynamics_oracle(f, 0) == (math.inf, None)
+        assert dynamics_oracle(f, 2) == (1.0, 1)
+        self.assert_least_is_essential(f)
+
+    def test_signed_zero_tie(self):
+        f = ScalarField((3,), [0.0, 1.0, -0.0])
+        assert dynamics_oracle(f, 0) == (math.inf, None)
+        self.assert_least_is_essential(f)
+
+    def test_constant_fields(self):
+        for shape in [(1,), (4,), (3, 4), (2, 2, 3)]:
+            for conn in ("axis", "full"):
+                f = ScalarField(shape, np.full(int(np.prod(shape)), 2.5), conn)
+                assert local_minima(f) == [0]
+                assert dynamics_oracle(f, 0) == (math.inf, None)
+
+    def test_few_levels_1d_to_3d_full(self):
+        rng = np.random.default_rng(11)
+        for i, (shape, conn) in enumerate([((3, 4), "axis"), ((2, 2, 3), "full"), ((4, 5, 3), "full")] * 8):
+            vals = rng.integers(0, 2 + i % 3, size=int(np.prod(shape))).astype(float)
+            self.assert_least_is_essential(ScalarField(shape, vals, conn))
 
 
 class TestExhaustive:
