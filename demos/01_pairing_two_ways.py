@@ -10,18 +10,18 @@ from dynpers import (
     build_merge_tree,
     dynamics_oracle,
     exhaustive_dynamics,
+    filtration_order,
     local_minima,
     pair_1d_algorithm1,
     pair_by_dynamics,
     pair_by_persistence,
-    sublevel_filtration,
 )
 
 signal = ScalarField((5,), [5, 1, 4, 0, 6])
 print("signal values:", signal.values.tolist())
 
 # Vertices enter the sublevel sets in ascending (value, index) order.
-order = sublevel_filtration(signal)
+order = filtration_order(signal)
 print("filtration order:", order)
 print("local minima (by total order):", local_minima(signal))
 

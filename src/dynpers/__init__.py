@@ -17,7 +17,7 @@ from .grid import (
     precedes,
     sort_vertices,
 )
-from .formats import read_field, sniff_format, write_field
+from .formats import parse_field, read_field, sniff_format, write_field
 from .pairing import (
     MergeEvent,
     MergeTree,
@@ -29,7 +29,6 @@ from .pairing import (
     pairing_signature,
     pairs_to_json,
     persistence_diagram,
-    sublevel_filtration,
 )
 from .pathdyn import dynamics_oracle, effort, exhaustive_dynamics
 from .equivalence import (
@@ -88,6 +87,7 @@ __all__ = [
     "pair_by_persistence",
     "pairing_signature",
     "pairs_to_json",
+    "parse_field",
     "persistence_diagram",
     "precedes",
     "read_field",
@@ -96,7 +96,6 @@ __all__ = [
     "segment_pipeline",
     "sniff_format",
     "sort_vertices",
-    "sublevel_filtration",
     "sweep",
     "verify_equivalence",
     "watershed",

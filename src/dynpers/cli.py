@@ -15,7 +15,7 @@ import sys
 
 from .errors import DivergenceError, FormatError, UsageError
 from .grid import Connectivity, ScalarField
-from .formats import read_field, sniff_format, write_field
+from .formats import parse_field, sniff_format, write_field
 from .pairing import (
     pair_by_dynamics,
     pair_by_persistence,
@@ -67,7 +67,7 @@ def _read_input(path: str, fmt: str | None, connectivity, invert: bool):
         raise FormatError(f"{source}: non-ASCII character at offset {offset}")
     if fmt is None:
         fmt = sniff_format(text)
-    field = read_field(text, fmt, connectivity)
+    field = parse_field(text, fmt, connectivity)
     if invert:
         field = ScalarField(field.shape, -field.values, field.connectivity)
     return field, fmt
@@ -252,7 +252,7 @@ def _cmd_filter(args, conn, invert) -> int:
 def _cmd_watershed(args, conn, invert) -> int:
     field, _ = _read_input(args.input, args.format, conn, invert)
     labels = watershed(field)
-    label_field = ScalarField(field.shape, [float(l) for l in labels.labels], field.connectivity)
+    label_field = ScalarField(field.shape, labels.labels, field.connectivity)
     _emit_text(write_field(label_field, fmt=_labels_format(labels)), args.output)
     return EXIT_OK
 
@@ -275,7 +275,7 @@ def _cmd_segment(args, conn, invert) -> int:
         "threshold": args.t,
         "region_count": labels.region_count,
         "labels": list(labels.labels),
-        "filtered": [sign * float(v) for v in filtered.values],
+        "filtered": (sign * filtered.values).tolist(),
         "pairs": pairs_to_json(pairs),
         "curve": curve.to_json(),
     }

@@ -20,11 +20,6 @@ from .grid import Connectivity, ScalarField
 FORMATS = ("csv-1d", "pgm-2d", "field-nd")
 
 
-def _repr_float(x: float) -> str:
-    # repr() is the shortest string that round-trips the double exactly.
-    return repr(float(x))
-
-
 def sniff_format(text: str) -> str:
     """Guess the format from the first token of the file body."""
     head = text.lstrip()[:16]
@@ -38,8 +33,9 @@ def sniff_format(text: str) -> str:
 def read_field(source, fmt: str | None = None, connectivity=Connectivity.AXIS) -> ScalarField:
     """Parse a field from a path, file object or string.
 
-    ``fmt`` is one of ``csv-1d``, ``pgm-2d``, ``field-nd``; when omitted it is
-    sniffed from the content.
+    A string naming an existing file is read as a path; any other string is
+    parsed as field text.  Use :func:`parse_field` to parse text that might
+    coincide with a file name.  ``fmt`` is as for :func:`parse_field`.
     """
     if hasattr(source, "read"):
         text = source.read()
@@ -50,6 +46,15 @@ def read_field(source, fmt: str | None = None, connectivity=Connectivity.AXIS) -
         text = source
     else:
         raise FormatError(f"cannot read field from {source!r}")
+    return parse_field(text, fmt, connectivity)
+
+
+def parse_field(text: str, fmt: str | None = None, connectivity=Connectivity.AXIS) -> ScalarField:
+    """Parse a field from its text.
+
+    ``fmt`` is one of ``csv-1d``, ``pgm-2d``, ``field-nd``; when omitted it is
+    sniffed from the content.
+    """
     if fmt is None:
         fmt = sniff_format(text)
     if fmt == "csv-1d":
@@ -68,12 +73,12 @@ def write_field(field: ScalarField, target=None, fmt: str | None = None) -> str:
     if fmt == "csv-1d":
         if field.ndim != 1:
             raise UsageError(f"csv-1d stores 1D fields only, got shape {field.shape}")
-        text = "".join(_repr_float(v) + "\n" for v in field.values)
+        text = _lines(field.values)
     elif fmt == "pgm-2d":
         text = _write_pgm2d(field)
     elif fmt == "field-nd":
         header = "FIELD " + str(field.ndim) + " " + " ".join(str(e) for e in field.shape)
-        text = header + "\n" + "".join(_repr_float(v) + "\n" for v in field.values)
+        text = header + "\n" + _lines(field.values)
     else:
         raise UsageError(f"unknown field format {fmt!r}; expected one of {FORMATS}")
     if target is not None:
@@ -85,16 +90,26 @@ def write_field(field: ScalarField, target=None, fmt: str | None = None) -> str:
     return text
 
 
+def _lines(values) -> str:
+    # repr() is the shortest string that round-trips the double exactly.
+    return "\n".join(map(repr, values.tolist())) + "\n"
+
+
 def _read_csv1d(text: str, connectivity) -> ScalarField:
-    values = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        try:
-            values.append(float(line))
-        except ValueError:
-            raise FormatError(f"csv-1d: non-numeric token {line!r} on line {lineno}") from None
+    lines = text.splitlines()
+    try:
+        values = list(map(float, filter(str.strip, lines)))
+    except ValueError:
+        for lineno, raw in enumerate(lines, start=1):
+            line = raw.strip()
+            if line:
+                try:
+                    float(line)
+                except ValueError:
+                    raise FormatError(
+                        f"csv-1d: non-numeric token {line!r} on line {lineno}"
+                    ) from None
+        raise
     if not values:
         raise FormatError("csv-1d: no values found")
     return ScalarField((len(values),), values, connectivity)
@@ -118,12 +133,17 @@ def _read_fieldnd(text: str, connectivity) -> ScalarField:
         n *= e
     if len(body) != n:
         raise FormatError(f"field-nd: expected {n} values for shape {shape}, found {len(body)}")
-    values = []
-    for offset, tok in enumerate(body):
-        try:
-            values.append(float(tok))
-        except ValueError:
-            raise FormatError(f"field-nd: non-numeric token {tok!r} at value offset {offset}") from None
+    try:
+        values = list(map(float, body))
+    except ValueError:
+        for offset, tok in enumerate(body):
+            try:
+                float(tok)
+            except ValueError:
+                raise FormatError(
+                    f"field-nd: non-numeric token {tok!r} at value offset {offset}"
+                ) from None
+        raise
     return ScalarField(shape, values, connectivity)
 
 

@@ -54,6 +54,7 @@ class ScalarField:
     values: np.ndarray
     connectivity: Connectivity = Connectivity.AXIS
     _neighbor_cache: list = _dc_field(default=None, repr=False, compare=False)
+    _order_cache: tuple = _dc_field(default=None, repr=False, compare=False)
 
     def __init__(self, shape, values, connectivity=Connectivity.AXIS):
         shape = tuple(int(e) for e in shape)
@@ -77,6 +78,7 @@ class ScalarField:
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "connectivity", _as_connectivity(connectivity))
         object.__setattr__(self, "_neighbor_cache", None)
+        object.__setattr__(self, "_order_cache", None)
 
     @property
     def n_vertices(self) -> int:
@@ -100,6 +102,21 @@ class ScalarField:
             )
         return self._neighbor_cache
 
+    def total_order(self) -> tuple:
+        """``(order, rank)`` of the strict total order (cached, read-only int arrays).
+
+        ``order`` is the stable argsort of the values; ``rank`` is its inverse,
+        so ``rank[u] < rank[v]`` exactly when ``(value, u) < (value, v)``.
+        """
+        if self._order_cache is None:
+            order = np.argsort(self.values, kind="stable")
+            rank = np.empty_like(order)
+            rank[order] = np.arange(order.size)
+            order.flags.writeable = False
+            rank.flags.writeable = False
+            object.__setattr__(self, "_order_cache", (order, rank))
+        return self._order_cache
+
 
 def _offsets(ndim: int, connectivity: Connectivity):
     if connectivity is Connectivity.AXIS:
@@ -113,17 +130,25 @@ def _offsets(ndim: int, connectivity: Connectivity):
     return [off for off in itertools.product((-1, 0, 1), repeat=ndim) if any(off)]
 
 
+def offset_slices(shape, connectivity) -> list:
+    """``(offset, src, dst)`` per neighbor offset of the grid.
+
+    For an array ``a`` of the field's shape, ``a[dst]`` holds, position by
+    position, the neighbor at ``offset`` of each vertex in ``a[src]``.
+    """
+    out = []
+    for off in _offsets(len(shape), connectivity):
+        src = tuple(slice(max(0, -d), e - max(0, d)) for d, e in zip(off, shape))
+        dst = tuple(slice(max(0, d), e - max(0, -d)) for d, e in zip(off, shape))
+        out.append((off, src, dst))
+    return out
+
+
 def _build_neighbor_lists(shape, connectivity) -> list:
     n = int(np.prod(shape))
     lin = np.arange(n).reshape(shape)
     lists = [[] for _ in range(n)]
-    for off in _offsets(len(shape), connectivity):
-        src = tuple(
-            slice(max(0, -d), e - max(0, d)) for d, e in zip(off, shape)
-        )
-        dst = tuple(
-            slice(max(0, d), e - max(0, -d)) for d, e in zip(off, shape)
-        )
+    for _, src, dst in offset_slices(shape, connectivity):
         for v, u in zip(lin[src].ravel().tolist(), lin[dst].ravel().tolist()):
             lists[v].append(u)
     for l in lists:
@@ -168,20 +193,17 @@ def local_minima(field: ScalarField) -> list:
     Returned sorted by the total order.  On a field with all-distinct values
     this is exactly the set of strict value minima.
     """
-    vals = field.values
-    lists = field.neighbor_lists()
-    out = []
-    for v in range(field.n_vertices):
-        key = (float(vals[v]), v)
-        if all(key < (float(vals[u]), u) for u in lists[v]):
-            out.append(v)
-    out.sort(key=lambda v: (float(vals[v]), v))
-    return out
+    order, rank = field.total_order()
+    rank = rank.reshape(field.shape)
+    is_min = np.ones(field.shape, dtype=bool)
+    for _, src, dst in offset_slices(field.shape, field.connectivity):
+        is_min[src] &= rank[src] < rank[dst]
+    return order[is_min.reshape(-1)[order]].tolist()
 
 
 def filtration_order(field: ScalarField) -> list:
-    """All vertices sorted ascending by the total order.
+    """All vertices sorted ascending by the total order (a fresh list).
 
     The first k entries are the discrete sublevel set after k insertions.
     """
-    return np.argsort(field.values, kind="stable").tolist()
+    return field.total_order()[0].tolist()

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UsageError
-from .grid import Connectivity, ScalarField, filtration_order
+from .grid import Connectivity, ScalarField, filtration_order, offset_slices
 from .pairing import pair_by_persistence
 
 
@@ -34,33 +34,41 @@ def minimal_regions(field: ScalarField) -> list:
     neighbor of the region has a strictly smaller value.  The representative
     is the region's total-order-least vertex.
     """
-    vals = field.values
-    nbrs = field.neighbor_lists()
-    seen = [False] * field.n_vertices
-    reps = []
-    for start in range(field.n_vertices):
-        if seen[start]:
-            continue
-        level = float(vals[start])
-        plateau = [start]
-        seen[start] = True
-        is_min = True
-        q = deque([start])
-        while q:
-            v = q.popleft()
-            for u in nbrs[v]:
-                fu = float(vals[u])
-                if fu == level:
-                    if not seen[u]:
-                        seen[u] = True
-                        plateau.append(u)
-                        q.append(u)
-                elif fu < level:
-                    is_min = False
-        if is_min:
-            reps.append(min(plateau))
-    reps.sort(key=lambda v: (float(vals[v]), v))
-    return reps
+    vals = field.values.reshape(field.shape)
+    lin = np.arange(field.n_vertices).reshape(field.shape)
+    lower = np.zeros(field.shape, dtype=bool)  # has a strictly lower neighbor
+    flat_a, flat_b = [], []  # equal-valued edges, each once
+    for off, src, dst in offset_slices(field.shape, field.connectivity):
+        lower[src] |= vals[dst] < vals[src]
+        if off > (0,) * field.ndim:
+            eq = vals[src] == vals[dst]
+            flat_a.append(lin[src][eq])
+            flat_b.append(lin[dst][eq])
+    lower = lower.reshape(-1)
+
+    # Union-find over the equal edges, always linking to the smaller root, so
+    # each plateau's root is its least index: its representative.
+    parent = {}
+
+    def find(x):
+        while x in parent:
+            nxt = parent.get(parent[x], parent[x])  # path halving
+            parent[x] = nxt
+            x = nxt
+        return x
+
+    for a, b in zip(np.concatenate(flat_a).tolist(), np.concatenate(flat_b).tolist()):
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+    linked = list(parent)  # every plateau vertex but the roots
+    members = np.array(linked, dtype=np.intp)
+    roots = np.array([find(x) for x in linked], dtype=np.intp)
+    is_rep = ~lower
+    is_rep[members] = False
+    is_rep[roots[lower[members]]] = False  # a plateau with a lower border is not minimal
+    order = field.total_order()[0]
+    return order[is_rep[order]].tolist()
 
 
 @dataclass(frozen=True)
@@ -100,33 +108,33 @@ def watershed_from_markers(field: ScalarField, markers) -> WatershedLabels:
     priority queue in ascending total order of the frontier; each takes the
     label of its total-order-least already-labeled neighbor.  Deterministic.
     """
-    vals = field.values
+    order = filtration_order(field)
+    rank = field.total_order()[1].tolist()
     nbrs = field.neighbor_lists()
     labels = [-1] * field.n_vertices
-    heap = []
+    queued = [False] * field.n_vertices
+    heap = []  # ranks of the frontier; each vertex is queued once
     for m in markers:
         m = field.check_vertex(m)
         labels[m] = m
     for m in markers:
         for u in nbrs[m]:
-            if labels[u] < 0:
-                heapq.heappush(heap, (float(vals[u]), u))
+            if labels[u] < 0 and not queued[u]:
+                queued[u] = True
+                heapq.heappush(heap, rank[u])
     while heap:
-        _, v = heapq.heappop(heap)
-        if labels[v] >= 0:
-            continue
-        best = None
+        v = order[heapq.heappop(heap)]
+        best = -1  # total-order-least labeled neighbor
         for u in nbrs[v]:
             if labels[u] >= 0:
-                k = (float(vals[u]), u)
-                if best is None or k < best:
-                    best = k
-        assert best is not None, "queued vertices always have a labeled neighbor"
-        labels[v] = labels[best[1]]
-        for u in nbrs[v]:
-            if labels[u] < 0:
-                heapq.heappush(heap, (float(vals[u]), u))
-    if any(l < 0 for l in labels):
+                if best < 0 or rank[u] < rank[best]:
+                    best = u
+            elif not queued[u]:
+                queued[u] = True
+                heapq.heappush(heap, rank[u])
+        assert best >= 0, "queued vertices always have a labeled neighbor"
+        labels[v] = labels[best]
+    if -1 in labels:
         raise UsageError("markers did not cover the field (empty marker set?)")
     return WatershedLabels(labels=tuple(labels), shape=field.shape, connectivity=field.connectivity)
 
@@ -243,11 +251,12 @@ def _absorption_tree(field: ScalarField, labels: WatershedLabels):
     ``(parent, weight)`` maps over minima: ``parent[m]`` is the absorbing
     basin and ``weight[m]`` the pair value of ``m``.
     """
-    vals = field.values
+    vals = field.values.tolist()
+    rank = field.total_order()[1].tolist()
+    lab = labels.labels
     nbrs = field.neighbor_lists()
     parent_uf = list(range(field.n_vertices))
     comp_min = [-1] * field.n_vertices
-    inserted = [False] * field.n_vertices
     parent = {}
     weight = {}
 
@@ -258,35 +267,38 @@ def _absorption_tree(field: ScalarField, labels: WatershedLabels):
         return x
 
     for v in filtration_order(field):
-        by_root = {}
+        rv = rank[v]
+        r0 = -1
+        merges = False
         for u in nbrs[v]:
-            if inserted[u]:
-                by_root.setdefault(find(u), []).append(u)
-        inserted[v] = True
-        if not by_root:
+            if rank[u] < rv:  # u is already in the sublevel set
+                r = find(u)
+                if r0 < 0:
+                    r0 = r
+                elif r != r0:
+                    merges = True
+        if r0 < 0:
             comp_min[v] = v
             continue
-        if len(by_root) > 1:
-            level = float(vals[v])
-            comps = sorted(
-                by_root.items(), key=lambda kv: (float(vals[comp_min[kv[0]]]), comp_min[kv[0]])
-            )
-            elder_side = list(comps[0][1])
-            for root, side in comps[1:]:
-                dying = comp_min[root]
-                gate = min(elder_side, key=lambda u: (float(vals[u]), u))
-                parent[dying] = labels.labels[gate]
-                weight[dying] = level - float(vals[dying])
-                elder_side.extend(side)
-        roots = list(by_root)
-        r0 = roots[0]
-        survivor = min(
-            (comp_min[r] for r in roots), key=lambda m: (float(vals[m]), m)
-        )
-        for r in roots[1:]:
-            parent_uf[r] = r0
         parent_uf[v] = r0
-        comp_min[r0] = survivor
+        if not merges:
+            continue
+        by_root = {}
+        for u in nbrs[v]:
+            if rank[u] < rv:
+                by_root.setdefault(find(u), []).append(u)
+        level = vals[v]
+        comps = sorted(by_root.items(), key=lambda kv: rank[comp_min[kv[0]]])
+        elder_side = list(comps[0][1])
+        for root, side in comps[1:]:
+            dying = comp_min[root]
+            gate = min(elder_side, key=rank.__getitem__)
+            parent[dying] = lab[gate]
+            weight[dying] = level - vals[dying]
+            elder_side.extend(side)
+        for root in by_root:
+            parent_uf[root] = r0
+        comp_min[r0] = comp_min[comps[0][0]]
     return parent, weight
 
 

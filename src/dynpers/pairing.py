@@ -19,11 +19,6 @@ from .grid import ScalarField, filtration_order
 INF = math.inf
 
 
-def sublevel_filtration(field: ScalarField) -> list:
-    """Vertices sorted ascending by the total order (see grid.filtration_order)."""
-    return filtration_order(field)
-
-
 @dataclass(frozen=True)
 class MergeEvent:
     """One two-component join of the sublevel filtration.
@@ -55,13 +50,12 @@ class MergeTree:
 
 def build_merge_tree(field: ScalarField) -> MergeTree:
     """Union-find sweep of the sublevel filtration."""
-    vals = field.values
+    vals = field.values.tolist()
+    rank = field.total_order()[1].tolist()
     nbrs = field.neighbor_lists()
-    order = filtration_order(field)
 
     parent = list(range(field.n_vertices))
     comp_min = [-1] * field.n_vertices  # root -> minimum vertex of the component
-    inserted = [False] * field.n_vertices
     events = []
     minima = []
 
@@ -71,36 +65,34 @@ def build_merge_tree(field: ScalarField) -> MergeTree:
             x = parent[x]
         return x
 
-    for v in order:
-        roots = set()
+    for v in filtration_order(field):
+        rv = rank[v]
+        r0 = -1
+        merges = False
         for u in nbrs[v]:
-            if inserted[u]:
-                roots.add(find(u))
-        inserted[v] = True
-        if not roots:
+            if rank[u] < rv:  # u is already in the sublevel set
+                r = find(u)
+                if r0 < 0:
+                    r0 = r
+                elif r != r0:
+                    merges = True
+        if r0 < 0:
             comp_min[v] = v
             minima.append(v)
             continue
-        if len(roots) == 1:
-            r = roots.pop()
-            parent[v] = r
+        parent[v] = r0
+        if not merges:
             continue
-        mins = sorted(
-            (comp_min[r] for r in roots), key=lambda m: (float(vals[m]), m)
-        )
+        roots = {find(u) for u in nbrs[v] if rank[u] < rv}
+        mins = sorted((comp_min[r] for r in roots), key=rank.__getitem__)
         survivor = mins[0]
-        level = float(vals[v])
+        level = vals[v]
         for dying in reversed(mins[1:]):
             events.append(
                 MergeEvent(saddle=v, survivor_min=survivor, dying_min=dying, level=level)
             )
-        r0 = None
         for r in roots:
-            if r0 is None:
-                r0 = r
-            else:
-                parent[r] = r0
-        parent[v] = r0
+            parent[r] = r0
         comp_min[r0] = survivor
     return MergeTree(events=tuple(events), minima=tuple(minima))
 
@@ -137,10 +129,10 @@ def pair_by_persistence(field: ScalarField) -> list:
     essential pair last.
     """
     tree = build_merge_tree(field)
-    vals = field.values
+    vals = field.values.tolist()
     finite = []
     for ev in tree.events:
-        birth = float(vals[ev.dying_min])
+        birth = vals[ev.dying_min]
         finite.append(
             PersistencePair(
                 min_vertex=ev.dying_min,
@@ -152,10 +144,11 @@ def pair_by_persistence(field: ScalarField) -> list:
         )
     essential = []
     if tree.minima:
-        m0 = min(tree.minima, key=lambda m: (float(vals[m]), m))
+        rank = field.total_order()[1]
+        m0 = min(tree.minima, key=rank.__getitem__)
         essential.append(
             PersistencePair(
-                min_vertex=m0, saddle_vertex=None, birth=float(vals[m0]), death=None, value=INF
+                min_vertex=m0, saddle_vertex=None, birth=vals[m0], death=None, value=INF
             )
         )
     return _sorted_pairs(finite, essential)
@@ -173,33 +166,39 @@ def pair_by_dynamics(field: ScalarField) -> list:
     Lakes are explicit member lists merged smallest-into-largest; no
     union-find forest is involved.
     """
-    vals = field.values
+    vals = field.values.tolist()
+    rank = field.total_order()[1].tolist()
     nbrs = field.neighbor_lists()
-    order = filtration_order(field)
 
     lake_of = [-1] * field.n_vertices
     lake_min: list = []  # lake id -> its minimum vertex
     lake_members: list = []  # lake id -> member vertices
     finite = []
 
-    for v in order:
-        ids = set()
+    for v in filtration_order(field):
+        lid = -1
+        meets = False
         for u in nbrs[v]:
-            lid = lake_of[u]
-            if lid >= 0:
-                ids.add(lid)
-        if not ids:
+            other = lake_of[u]
+            if other >= 0:
+                if lid < 0:
+                    lid = other
+                elif other != lid:
+                    meets = True
+        if lid < 0:
             lake_of[v] = len(lake_min)
             lake_min.append(v)
             lake_members.append([v])
             continue
-        if len(ids) > 1:
-            level = float(vals[v])
-            by_age = sorted(ids, key=lambda lid: (float(vals[lake_min[lid]]), lake_min[lid]))
+        if meets:
+            ids = {lake_of[u] for u in nbrs[v]}
+            ids.discard(-1)
+            level = vals[v]
+            by_age = sorted(ids, key=lambda lid: rank[lake_min[lid]])
             elder = by_age[0]
             for lid in reversed(by_age[1:]):
                 m = lake_min[lid]
-                birth = float(vals[m])
+                birth = vals[m]
                 finite.append(
                     PersistencePair(
                         min_vertex=m,
@@ -217,19 +216,18 @@ def pair_by_dynamics(field: ScalarField) -> list:
                     lake_members[keep].extend(lake_members[lid])
                     lake_members[lid] = []
             lake_min[keep] = lake_min[elder]
-            ids = {keep}
-        lid = ids.pop()
+            lid = keep
         lake_of[v] = lid
         lake_members[lid].append(v)
 
     essential = []
-    alive = {lake_of[v] for v in range(field.n_vertices)}
+    alive = set(lake_of)
     if alive:
         lid = alive.pop()
         m0 = lake_min[lid]
         essential.append(
             PersistencePair(
-                min_vertex=m0, saddle_vertex=None, birth=float(vals[m0]), death=None, value=INF
+                min_vertex=m0, saddle_vertex=None, birth=vals[m0], death=None, value=INF
             )
         )
     return _sorted_pairs(finite, essential)
@@ -250,28 +248,28 @@ def pair_1d_algorithm1(field: ScalarField, xmax: int) -> int | None:
     if field.ndim != 1:
         raise UsageError(f"pair_1d_algorithm1 needs a 1D field, got shape {field.shape}")
     xmax = field.check_vertex(xmax)
-    vals = field.values
+    rank = field.total_order()[1]
     n = field.n_vertices
-    kmax = (float(vals[xmax]), xmax)
+    kmax = rank[xmax]
     for u in field.neighbor_lists()[xmax]:
-        if not (float(vals[u]), u) < kmax:
+        if not rank[u] < kmax:
             raise UsageError(f"vertex {xmax} is not a local maximum of the field")
     if xmax == 0 or xmax == n - 1:
         return None
 
     lo = xmax
-    while lo > 0 and (float(vals[lo - 1]), lo - 1) < kmax:
+    while lo > 0 and rank[lo - 1] < kmax:
         lo -= 1
     hi = xmax
-    while hi < n - 1 and (float(vals[hi + 1]), hi + 1) < kmax:
+    while hi < n - 1 and rank[hi + 1] < kmax:
         hi += 1
 
-    least = min(range(lo, hi + 1), key=lambda v: (float(vals[v]), v))
+    least = min(range(lo, hi + 1), key=rank.__getitem__)
     left_unbounded = lo == 0 and least == lo
     right_unbounded = hi == n - 1 and least == hi
 
-    rep_left = min(range(lo, xmax), key=lambda v: (float(vals[v]), v))
-    rep_right = min(range(xmax + 1, hi + 1), key=lambda v: (float(vals[v]), v))
+    rep_left = min(range(lo, xmax), key=rank.__getitem__)
+    rep_right = min(range(xmax + 1, hi + 1), key=rank.__getitem__)
 
     if left_unbounded and right_unbounded:
         return None
@@ -279,7 +277,7 @@ def pair_1d_algorithm1(field: ScalarField, xmax: int) -> int | None:
         return rep_right
     if right_unbounded:
         return rep_left
-    return max((rep_left, rep_right), key=lambda v: (float(vals[v]), v))
+    return max((rep_left, rep_right), key=rank.__getitem__)
 
 
 def persistence_diagram(pairs, essential_death: float | None = None) -> list:

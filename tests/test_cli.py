@@ -1,8 +1,10 @@
+import hashlib
 import json
 import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 import dynpers.cli as cli
 from dynpers import ScalarField, pair_by_dynamics, read_field, watershed
@@ -237,6 +239,13 @@ class TestHostileInput:
             assert code == 1 and out == ""
             assert err.startswith("dynpers: error:") and err.count("\n") == 1
 
+    def test_stdin_text_naming_a_file_is_parsed_as_text(self, tmp_path, capsys, monkeypatch):
+        (tmp_path / "5").write_text(SIGNAL_CSV, encoding="ascii")
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_main(["pairs"], "5", capsys, monkeypatch)
+        assert code == 0, err
+        assert json.loads(out) == [{"min_index": 0, "birth": 5.0, "value": "inf"}]
+
     def test_watershed_labels_past_pgm_maxval_round_trip(self, capsys, monkeypatch):
         shape = (257, 256)
         n = shape[0] * shape[1]
@@ -248,3 +257,59 @@ class TestHostileInput:
         labels = read_field(out).values
         expected = watershed(ScalarField(shape, values)).labels
         assert labels.tolist() == list(expected) and labels.max() == n - 1
+
+
+def _golden_inputs():
+    """Three small seeded fields: 1D with ties, 2D with plateaus, 3D full connectivity."""
+    rng = np.random.default_rng(2024)
+    ties_1d = "".join(f"{v}\n" for v in rng.integers(0, 4, size=40).tolist())
+    plateaus_2d = "FIELD 2 12 10\n" + "".join(
+        f"{v}\n" for v in rng.integers(0, 3, size=120).tolist()
+    )
+    full_3d = "FIELD 3 5 4 6\n" + "".join(
+        f"{v!r}\n" for v in np.round(rng.uniform(-1.0, 1.0, size=120), 3).tolist()
+    )
+    return {"1d-ties": ([], ties_1d), "2d-plateaus": ([], plateaus_2d),
+            "3d-full": (["--connectivity", "full"], full_3d)}
+
+
+GOLDEN_COMMANDS = {
+    "pairs": ["pairs", "--method", "both"],
+    "curve": ["curve"],
+    "saliency": ["saliency"],
+    "segment": ["segment", "--t", "1.5"],
+    "filter": ["filter", "--t", "1.5"],
+    "watershed": ["watershed"],
+}
+
+# sha256 of stdout; these outputs must stay byte-identical.
+GOLDEN_DIGESTS = {
+    "pairs/1d-ties": "c2d396c8a5a399ba98a44fe7cb20429cd01bd92be8f9c79ed76e9a25a460077d",
+    "curve/1d-ties": "0880d4276f5871d817cbca8a8a9e357e71475e6760b7c1edda35731ed4439810",
+    "saliency/1d-ties": "43e34e4c79bc7b392095abcad946c10afca9cb5c1f6d539c5fbeb101e7b167f5",
+    "segment/1d-ties": "8387bcc48290d96a1859e0d3124142bb0c734bcb747d781d9099cb8eb8314ac3",
+    "filter/1d-ties": "c67b1755e7c42019c4882d0fb4b3b8064b1b67e12e35fe278129d83878772dc7",
+    "watershed/1d-ties": "4c1fcde768d1f956994ea961b030b5bc8e43fc13977f3e7ffe92cd4aeb6f26d8",
+    "pairs/2d-plateaus": "605798d2e508b2b9c869fce19f58156b0349ec683c8e88b865d7b3cc5f333f35",
+    "curve/2d-plateaus": "4e3564e9d97ddbc2ecdcc0789d69f8be60123b6593e1a61d75845802fb00511c",
+    "saliency/2d-plateaus": "d1230a439b37dfc5bd980828a730d33fc3455219b930e8c4bbee5df57a510aa1",
+    "segment/2d-plateaus": "7f10b982a521766ac72b2c856d86a434f3bb8838ed3c3eb3acce991591f21c9a",
+    "filter/2d-plateaus": "8ca8d375c6ce59597cbd1fb243e9e2655d7276243f824ccb9fad1982f3d374e1",
+    "watershed/2d-plateaus": "279261638cd78917cd0879fff82563080eeb58be0509e11324cf03d1179652f7",
+    "pairs/3d-full": "f04994ae8d325dabf379d198fe45b5bffd55c8ec8de01ecc45452633c2045847",
+    "curve/3d-full": "d80c7a3381331c06fd0870a273e9a6a54581c76f2b821f251ea662d84b6004ed",
+    "saliency/3d-full": "d083a744ed76ef37fef9207d422fce48594f15c66380a08b2cf435179140c8e9",
+    "segment/3d-full": "e2b1d4a7b3c54be60aaf6bcbcc618becd3017ac35230b6e8f0bc2ee2d85dd541",
+    "filter/3d-full": "e7dffdd8d2189b7ae2d5adc19a369ad12147f3caf3204da1f9ee081ac2dd9226",
+    "watershed/3d-full": "1ac1c761bad114453424593ef805ed486b37f358e4097a0a78d2769349ec6eb3",
+}
+
+
+class TestGoldenDigests:
+    @pytest.mark.parametrize("name", sorted(GOLDEN_DIGESTS))
+    def test_stdout_digest(self, name, capsys, monkeypatch):
+        command, field = name.split("/")
+        prefix, text = _golden_inputs()[field]
+        code, out, err = run_main(prefix + GOLDEN_COMMANDS[command], text, capsys, monkeypatch)
+        assert code == 0 and err == ""
+        assert hashlib.sha256(out.encode("ascii")).hexdigest() == GOLDEN_DIGESTS[name]

@@ -73,6 +73,23 @@ def test_parse_errors_name_location(text, fmt, fragment):
         read_field(text, fmt)
 
 
+@pytest.mark.parametrize(
+    "text,fmt,message",
+    [
+        ("5\n\n  xyz \n1\n", "csv-1d", "csv-1d: non-numeric token 'xyz' on line 3"),
+        ("1\n2\n1 2\n", "csv-1d", "csv-1d: non-numeric token '1 2' on line 3"),
+        ("nan?\n", "csv-1d", "csv-1d: non-numeric token 'nan?' on line 1"),
+        ("FIELD 1 3\n1 b 3\n", "field-nd", "field-nd: non-numeric token 'b' at value offset 1"),
+        ("FIELD 2 2 2\n1 2\n3 0x4\n", "field-nd",
+         "field-nd: non-numeric token '0x4' at value offset 3"),
+    ],
+)
+def test_parse_error_messages(text, fmt, message):
+    with pytest.raises(FormatError) as info:
+        read_field(text, fmt)
+    assert str(info.value) == message
+
+
 def test_sniffing():
     assert sniff_format("P2\n1 1\n1\n0\n") == "pgm-2d"
     assert sniff_format("FIELD 1 3\n1 2 3\n") == "field-nd"

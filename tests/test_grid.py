@@ -10,6 +10,7 @@ from dynpers import (
     filtration_order,
     local_minima,
     neighbors,
+    pair_by_persistence,
     precedes,
     sort_vertices,
 )
@@ -117,6 +118,41 @@ class TestTotalOrder:
     def test_value_dominates_index(self):
         f = ScalarField((3,), [2.0, 1.0, 1.5])
         assert precedes(f, 1, 0) and precedes(f, 2, 0) and precedes(f, 1, 2)
+
+
+class TestFiltrationOrder:
+    def test_signal(self):
+        assert filtration_order(SIGNAL) == [3, 1, 2, 0, 4]
+
+    def test_sorted_ramp_identity(self):
+        assert filtration_order(ScalarField((3,), [0, 1, 2])) == [0, 1, 2]
+
+    def test_constant_tie_break(self):
+        assert filtration_order(ScalarField((3,), [7, 7, 7])) == [0, 1, 2]
+
+    def test_rank_inverts_order(self):
+        rng = np.random.default_rng(5)
+        for vals in (rng.integers(0, 3, 60), rng.choice([-0.0, 0.0, 1.0], 60), rng.uniform(size=60)):
+            f = ScalarField((6, 10), vals.astype(float))
+            order, rank = f.total_order()
+            assert order.tolist() == filtration_order(f)
+            assert filtration_order(f) == sorted(range(60), key=lambda v: (float(f.values[v]), v))
+            assert rank[order].tolist() == list(range(60))
+            assert all(precedes(f, a, b) == (rank[a] < rank[b])
+                       for a in range(60) for b in range(60) if a != b)
+
+    def test_returned_order_is_a_copy(self):
+        f = ScalarField((3, 4), [5, 1, 4, 0, 6, 2, 2, 7, 3, 9, 8, 0])
+        minima = local_minima(f)
+        pairs = pair_by_persistence(f)
+        order = filtration_order(f)
+        expected = list(order)
+        order.reverse()
+        order[0] = 99
+        assert filtration_order(f) == expected
+        assert local_minima(f) == minima and pair_by_persistence(f) == pairs
+        with pytest.raises(ValueError):
+            f.total_order()[1][0] = 7
 
 
 class TestLocalMinima:

@@ -1,4 +1,6 @@
+import heapq
 import itertools
+from collections import deque
 
 import numpy as np
 import pytest
@@ -291,6 +293,118 @@ class TestAgainstReference:
         for seed in range(4):
             f = random_field(seed, shape=(6, 5, 7), conn="full")
             assert repr(saliency(f).edge_values) == repr(reference_saliency(f))
+
+
+def tie_heavy_fields(count=320):
+    """Integer fields with 2-4 levels, {-0.0, 0.0, 1.0} fields, uniform random and
+    constant fields, on 1D, 2D axis, 2D full and 3D full grids."""
+    rng = np.random.default_rng(7919)
+    grids = [((23,), "axis"), ((7, 9), "axis"), ((7, 9), "full"), ((4, 3, 5), "full")]
+    for i in range(count):
+        shape, conn = grids[i % len(grids)]
+        n = int(np.prod(shape))
+        kind = (i // len(grids)) % 4
+        if kind == 0:
+            vals = rng.integers(0, 2 + (i // 16) % 3, size=n).astype(float)
+        elif kind == 1:
+            vals = rng.choice([-0.0, 0.0, 1.0], size=n)
+        elif kind == 2:
+            vals = rng.uniform(-1.0, 1.0, size=n)
+        else:
+            vals = np.full(n, rng.choice([-0.0, 0.0, 2.5]))
+        yield ScalarField(shape, vals, conn)
+
+
+def reference_local_minima(field):
+    """Vertex loop over (value, index) tuple keys."""
+    vals = field.values
+    lists = field.neighbor_lists()
+    out = []
+    for v in range(field.n_vertices):
+        key = (float(vals[v]), v)
+        if all(key < (float(vals[u]), u) for u in lists[v]):
+            out.append(v)
+    out.sort(key=lambda v: (float(vals[v]), v))
+    return out
+
+
+def reference_minimal_regions(field):
+    """Breadth-first search over every plateau."""
+    vals = field.values
+    nbrs = field.neighbor_lists()
+    seen = [False] * field.n_vertices
+    reps = []
+    for start in range(field.n_vertices):
+        if seen[start]:
+            continue
+        level = float(vals[start])
+        plateau = [start]
+        seen[start] = True
+        is_min = True
+        q = deque([start])
+        while q:
+            v = q.popleft()
+            for u in nbrs[v]:
+                fu = float(vals[u])
+                if fu == level:
+                    if not seen[u]:
+                        seen[u] = True
+                        plateau.append(u)
+                        q.append(u)
+                elif fu < level:
+                    is_min = False
+        if is_min:
+            reps.append(min(plateau))
+    reps.sort(key=lambda v: (float(vals[v]), v))
+    return reps
+
+
+def reference_watershed(field, markers):
+    """Flooding from a heap of (value, index) tuples that may hold a vertex twice."""
+    vals = field.values
+    nbrs = field.neighbor_lists()
+    labels = [-1] * field.n_vertices
+    heap = []
+    for m in markers:
+        labels[m] = m
+    for m in markers:
+        for u in nbrs[m]:
+            if labels[u] < 0:
+                heapq.heappush(heap, (float(vals[u]), u))
+    while heap:
+        _, v = heapq.heappop(heap)
+        if labels[v] >= 0:
+            continue
+        best = min((float(vals[u]), u) for u in nbrs[v] if labels[u] >= 0)
+        labels[v] = labels[best[1]]
+        for u in nbrs[v]:
+            if labels[u] < 0:
+                heapq.heappush(heap, (float(vals[u]), u))
+    return tuple(labels)
+
+
+class TestOrderKeyedLayers:
+    def test_local_minima_matches_tuple_loop(self):
+        for f in tie_heavy_fields():
+            assert local_minima(f) == reference_local_minima(f)
+
+    def test_minimal_regions_match_plateau_search(self):
+        for f in tie_heavy_fields():
+            assert minimal_regions(f) == reference_minimal_regions(f)
+
+    def test_watershed_matches_tuple_heap(self):
+        rng = np.random.default_rng(11)
+        for f in tie_heavy_fields():
+            markers = minimal_regions(f)
+            assert watershed_from_markers(f, markers).labels == reference_watershed(f, markers)
+            # random markers: duplicates and non-minima included
+            markers = rng.integers(0, f.n_vertices, size=int(rng.integers(1, 6))).tolist()
+            markers += markers[: int(rng.integers(0, 3))]
+            assert watershed_from_markers(f, markers).labels == reference_watershed(f, markers)
+
+    def test_empty_markers_rejected(self):
+        with pytest.raises(UsageError, match="markers"):
+            watershed_from_markers(GRID33, [])
 
 
 def stack_boundary(field, t):

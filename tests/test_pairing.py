@@ -17,7 +17,6 @@ from dynpers import (
     pairing_signature,
     pairs_to_json,
     persistence_diagram,
-    sublevel_filtration,
 )
 
 SIGNAL = ScalarField((5,), [5, 1, 4, 0, 6])
@@ -28,17 +27,6 @@ TWO_PAIR = ScalarField((7,), [7, 0, 6, 2, 4, 1, 7])
 def perm_fields(n, shape=None):
     for perm in itertools.permutations(range(1, n + 1)):
         yield ScalarField(shape or (n,), [float(v) for v in perm])
-
-
-class TestFiltration:
-    def test_signal(self):
-        assert sublevel_filtration(SIGNAL) == [3, 1, 2, 0, 4]
-
-    def test_sorted_ramp_identity(self):
-        assert sublevel_filtration(ScalarField((3,), [0, 1, 2])) == [0, 1, 2]
-
-    def test_constant_tie_break(self):
-        assert sublevel_filtration(ScalarField((3,), [7, 7, 7])) == [0, 1, 2]
 
 
 class TestMergeTree:
