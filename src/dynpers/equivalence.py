@@ -140,12 +140,12 @@ def _divergent_minimum(field, per_pairs, dyn_pairs, check_oracle) -> tuple:
     """(divergent minimum or None, max value discrepancy)."""
     per_by_min = {p.min_vertex: p for p in per_pairs}
     dyn_by_min = {p.min_vertex: p for p in dyn_pairs}
-    vals = field.values
+    rank = field.total_order()[1]
     worst = 0.0
     bad = None
 
     def order(ms):
-        return sorted(ms, key=lambda m: (float(vals[m]), m))
+        return sorted(ms, key=rank.__getitem__)
 
     if set(per_by_min) != set(dyn_by_min):
         sym = set(per_by_min) ^ set(dyn_by_min)

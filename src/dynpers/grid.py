@@ -177,8 +177,8 @@ def precedes(field: ScalarField, a: int, b: int) -> bool:
 
 def sort_vertices(field: ScalarField, vertices) -> list:
     """Sort a vertex collection ascending by the total order."""
-    vals = field.values
-    return sorted((field.check_vertex(v) for v in vertices), key=lambda v: (float(vals[v]), v))
+    rank = field.total_order()[1]
+    return sorted((field.check_vertex(v) for v in vertices), key=rank.__getitem__)
 
 
 def neighbors(field: ScalarField, v: int) -> list:

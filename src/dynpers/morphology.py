@@ -17,14 +17,13 @@ from __future__ import annotations
 import heapq
 import math
 from bisect import bisect_left, bisect_right
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import UsageError
 from .grid import Connectivity, ScalarField, filtration_order, offset_slices
-from .pairing import pair_by_persistence
+from .pairing import build_merge_tree, pair_by_persistence
 
 
 def minimal_regions(field: ScalarField) -> list:
@@ -111,11 +110,11 @@ def watershed_from_markers(field: ScalarField, markers) -> WatershedLabels:
     order = filtration_order(field)
     rank = field.total_order()[1].tolist()
     nbrs = field.neighbor_lists()
+    markers = [field.check_vertex(m) for m in markers]
     labels = [-1] * field.n_vertices
     queued = [False] * field.n_vertices
     heap = []  # ranks of the frontier; each vertex is queued once
     for m in markers:
-        m = field.check_vertex(m)
         labels[m] = m
     for m in markers:
         for u in nbrs[m]:
@@ -147,11 +146,19 @@ def watershed(field: ScalarField) -> WatershedLabels:
 def filter_dynamics(field: ScalarField, t: float) -> ScalarField:
     """Cancel every pair with value below ``t`` (connected filter).
 
-    Pairs are cancelled in ascending value order; each cancellation raises the
-    dying sublevel component -- the component of the pair's minimum strictly
-    below the death level, in the current field state -- to the death value.
-    Values never decrease; the output has no surviving minimum with dynamics
-    below ``t``.
+    Each vertex is raised to the death level of the last cancelled pair, in
+    ascending pair order, whose dying component contains it: the component
+    of the pair's minimum among the vertices that precede its saddle in the
+    input field.  Vertices in no such component keep their value.  Values
+    never decrease; the output has no surviving minimum with dynamics below
+    ``t``.
+
+    One pass over the cancelled pairs in reverse order: a vertex keeps the
+    first death that reaches it, and a pair whose minimum already lies in a
+    later pair's component with a later saddle adds nothing and is skipped.
+    Cancelling pair by pair, each raising its component in the current
+    field, gives the same values; where the cancelled pairs die at both 0.0
+    and -0.0 it may leave a raised zero with the other sign.
 
     ``t`` must be positive and must not equal any finite pair value, because
     the boundary case would be ambiguous; such a collision is rejected.
@@ -166,23 +173,29 @@ def filter_dynamics(field: ScalarField, t: float) -> ScalarField:
                 f"threshold {t} collides with the pair value {p.value} of minimum "
                 f"{p.min_vertex}; pick a value strictly between pair values"
             )
-    vals = field.values.copy()
+    cancelled = [p for p in pairs if p.value < t]  # ascending
+    rank = field.total_order()[1].tolist()
     nbrs = field.neighbor_lists()
-    for p in pairs:  # already ascending by value
-        if p.value >= t:
+    raised_at = [-1] * field.n_vertices  # rank of the saddle whose death a vertex took
+    walked = [-1] * field.n_vertices  # vertex -> last pair whose walk reached it
+    vals = field.values.copy()
+    for i, p in enumerate(reversed(cancelled)):
+        top = rank[p.saddle_vertex]
+        if raised_at[p.min_vertex] > top:
             continue
-        death_key = (p.death, p.saddle_vertex)
-        component = [p.min_vertex]
-        seen = {p.min_vertex}
-        q = deque(component)
-        while q:
-            v = q.popleft()
+        raised = []
+        stack = [p.min_vertex]
+        walked[p.min_vertex] = i
+        while stack:
+            v = stack.pop()
+            if raised_at[v] < 0:
+                raised_at[v] = top
+                raised.append(v)
             for u in nbrs[v]:
-                if u not in seen and (float(vals[u]), u) < death_key:
-                    seen.add(u)
-                    component.append(u)
-                    q.append(u)
-        vals[component] = p.death
+                if walked[u] != i and rank[u] < top:
+                    walked[u] = i
+                    stack.append(u)
+        vals[raised] = p.death
     return ScalarField(field.shape, vals, field.connectivity)
 
 
@@ -241,67 +254,6 @@ class SaliencyMap:
         return {f"{u},{v}": val for (u, v), val in self.edge_values}
 
 
-def _absorption_tree(field: ScalarField, labels: WatershedLabels):
-    """Where each cancelled basin's water goes, and at which threshold.
-
-    Replays the sublevel filtration; at a merge vertex the dying component's
-    future water exits over that saddle and follows the saddle's least
-    preceding neighbor on the still-separate elder side, so the dying minimum
-    is absorbed by that neighbor's watershed basin.  Returns
-    ``(parent, weight)`` maps over minima: ``parent[m]`` is the absorbing
-    basin and ``weight[m]`` the pair value of ``m``.
-    """
-    vals = field.values.tolist()
-    rank = field.total_order()[1].tolist()
-    lab = labels.labels
-    nbrs = field.neighbor_lists()
-    parent_uf = list(range(field.n_vertices))
-    comp_min = [-1] * field.n_vertices
-    parent = {}
-    weight = {}
-
-    def find(x):
-        while parent_uf[x] != x:
-            parent_uf[x] = parent_uf[parent_uf[x]]
-            x = parent_uf[x]
-        return x
-
-    for v in filtration_order(field):
-        rv = rank[v]
-        r0 = -1
-        merges = False
-        for u in nbrs[v]:
-            if rank[u] < rv:  # u is already in the sublevel set
-                r = find(u)
-                if r0 < 0:
-                    r0 = r
-                elif r != r0:
-                    merges = True
-        if r0 < 0:
-            comp_min[v] = v
-            continue
-        parent_uf[v] = r0
-        if not merges:
-            continue
-        by_root = {}
-        for u in nbrs[v]:
-            if rank[u] < rv:
-                by_root.setdefault(find(u), []).append(u)
-        level = vals[v]
-        comps = sorted(by_root.items(), key=lambda kv: rank[comp_min[kv[0]]])
-        elder_side = list(comps[0][1])
-        for root, side in comps[1:]:
-            dying = comp_min[root]
-            gate = min(elder_side, key=rank.__getitem__)
-            parent[dying] = lab[gate]
-            weight[dying] = level - vals[dying]
-            elder_side.extend(side)
-        for root in by_root:
-            parent_uf[root] = r0
-        comp_min[r0] = comp_min[comps[0][0]]
-    return parent, weight
-
-
 def _fuse_levels(parent, weight, basin_pairs) -> dict:
     """Largest absorption-tree weight on the path between each pair's basins.
 
@@ -345,13 +297,20 @@ def _fuse_levels(parent, weight, basin_pairs) -> dict:
 def saliency(field: ScalarField) -> SaliencyMap:
     """Closed-form saliency from the cancellation hierarchy.
 
-    The saliency of a boundary edge between basins a and b is the largest
-    weight on the path from a to b in the absorption tree: the threshold at
-    which progressive cancellation finally fuses their regions.
+    Each dying minimum of the merge tree is absorbed by the watershed basin
+    of its event's gate, at its pair value.  The saliency of a boundary edge
+    between basins a and b is the largest weight on the path from a to b in
+    this absorption tree: the threshold at which progressive cancellation
+    finally fuses their regions.
     """
-    labels = watershed(field)
-    parent, weight = _absorption_tree(field, labels)
-    lab = labels.labels
+    lab = watershed(field).labels
+    vals = field.values.tolist()
+    tree = build_merge_tree(field)
+    parent = {}  # dying minimum -> the basin its water runs into
+    weight = {}  # dying minimum -> its pair value
+    for ev, gate in zip(tree.events, tree.gates):
+        parent[ev.dying_min] = lab[gate]
+        weight[ev.dying_min] = ev.level - vals[ev.dying_min]
 
     def basin_pair(u, v):
         a, b = lab[u], lab[v]

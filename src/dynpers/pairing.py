@@ -42,10 +42,17 @@ class MergeTree:
     insertion joins k >= 2 components contributes k - 1 events at its level,
     each joining the current survivor with the next dying component, the dying
     minima taken in descending total order.
+
+    ``gates[i]`` is the gate of ``events[i]``: the total-order-least lower
+    neighbor of the saddle on the elder side, which is the survivor's
+    component plus every component joined at that saddle whose minimum
+    precedes the dying one.  Water of the dying component that overflows the
+    saddle runs down to the gate.
     """
 
     events: tuple
     minima: tuple
+    gates: tuple
 
 
 def build_merge_tree(field: ScalarField) -> MergeTree:
@@ -57,6 +64,7 @@ def build_merge_tree(field: ScalarField) -> MergeTree:
     parent = list(range(field.n_vertices))
     comp_min = [-1] * field.n_vertices  # root -> minimum vertex of the component
     events = []
+    gates = []
     minima = []
 
     def find(x):
@@ -83,18 +91,30 @@ def build_merge_tree(field: ScalarField) -> MergeTree:
         parent[v] = r0
         if not merges:
             continue
-        roots = {find(u) for u in nbrs[v] if rank[u] < rv}
-        mins = sorted((comp_min[r] for r in roots), key=rank.__getitem__)
-        survivor = mins[0]
+        least = {}  # root -> its least lower neighbor of v
+        for u in nbrs[v]:
+            if rank[u] < rv:
+                r = find(u)
+                if r not in least or rank[u] < rank[least[r]]:
+                    least[r] = u
+        roots = sorted(least, key=lambda r: rank[comp_min[r]])
+        survivor = comp_min[roots[0]]
         level = vals[v]
-        for dying in reversed(mins[1:]):
+        gate = least[roots[0]]
+        joins = []  # (dying minimum, gate), eldest dying first
+        for r in roots[1:]:
+            joins.append((comp_min[r], gate))
+            if rank[least[r]] < rank[gate]:
+                gate = least[r]
+        for dying, g in reversed(joins):
             events.append(
                 MergeEvent(saddle=v, survivor_min=survivor, dying_min=dying, level=level)
             )
+            gates.append(g)
         for r in roots:
             parent[r] = r0
         comp_min[r0] = survivor
-    return MergeTree(events=tuple(events), minima=tuple(minima))
+    return MergeTree(events=tuple(events), minima=tuple(minima), gates=tuple(gates))
 
 
 @dataclass(frozen=True)

@@ -106,6 +106,17 @@ class TestTotalOrder:
         assert sort_vertices(SIGNAL, range(5)) == [3, 1, 2, 0, 4]
         assert filtration_order(SIGNAL) == [3, 1, 2, 0, 4]
 
+    def test_sort_vertices_matches_tuple_keys(self):
+        rng = np.random.default_rng(17)
+        for vals in (rng.integers(0, 3, 40), rng.choice([-0.0, 0.0, 1.0], 40), rng.uniform(size=40)):
+            f = ScalarField((40,), vals.astype(float))
+            picks = rng.integers(0, 40, 25).tolist()  # repeats included
+            expected = sorted(picks, key=lambda v: (float(f.values[v]), v))
+            assert sort_vertices(f, picks) == expected
+            assert sort_vertices(f, iter(picks)) == expected
+        with pytest.raises(UsageError):
+            sort_vertices(SIGNAL, [0, 5])
+
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.integers(0, 4), min_size=1, max_size=12))
     def test_total_on_arbitrary_values(self, vals):

@@ -1,5 +1,6 @@
 import heapq
 import itertools
+import math
 from collections import deque
 
 import numpy as np
@@ -9,8 +10,10 @@ from dynpers import (
     Connectivity,
     ScalarField,
     UsageError,
+    build_merge_tree,
     dynamics_oracle,
     filter_dynamics,
+    filtration_order,
     granulometric_curve,
     iter_edges,
     local_minima,
@@ -22,7 +25,6 @@ from dynpers import (
     watershed,
     watershed_from_markers,
 )
-from dynpers.morphology import _absorption_tree
 
 SIGNAL = ScalarField((5,), [5, 1, 4, 0, 6])
 GRID33 = ScalarField((3, 3), [9, 8, 10, 2, 7, 3, 11, 12, 13])
@@ -132,6 +134,10 @@ class TestWatershed:
         with pytest.raises(UsageError):
             watershed_from_markers(SIGNAL, [])
 
+    def test_markers_from_an_iterator(self):
+        assert watershed_from_markers(SIGNAL, iter([1, 3])).labels == (1, 1, 3, 3, 3)
+        assert watershed_from_markers(SIGNAL, (m for m in [1, 3])).labels == (1, 1, 3, 3, 3)
+
     def test_filled_plateau_drains_to_survivor(self):
         # after cancellation the raised plateau must flow through its saddle
         filtered = filter_dynamics(SIGNAL, 3.5)
@@ -240,10 +246,71 @@ def reference_value_at(curve, t):
     return curve.counts[k]
 
 
+def reference_absorption_tree(field, labels):
+    """Where each cancelled basin's water goes, and at which threshold.
+
+    Replays the sublevel filtration; at a merge vertex the dying component's
+    future water exits over that saddle and follows the saddle's least
+    preceding neighbor on the still-separate elder side, so the dying minimum
+    is absorbed by that neighbor's watershed basin.  Returns
+    ``(parent, weight)`` maps over minima: ``parent[m]`` is the absorbing
+    basin and ``weight[m]`` the pair value of ``m``.
+    """
+    vals = field.values.tolist()
+    rank = field.total_order()[1].tolist()
+    lab = labels.labels
+    nbrs = field.neighbor_lists()
+    parent_uf = list(range(field.n_vertices))
+    comp_min = [-1] * field.n_vertices
+    parent = {}
+    weight = {}
+
+    def find(x):
+        while parent_uf[x] != x:
+            parent_uf[x] = parent_uf[parent_uf[x]]
+            x = parent_uf[x]
+        return x
+
+    for v in filtration_order(field):
+        rv = rank[v]
+        r0 = -1
+        merges = False
+        for u in nbrs[v]:
+            if rank[u] < rv:  # u is already in the sublevel set
+                r = find(u)
+                if r0 < 0:
+                    r0 = r
+                elif r != r0:
+                    merges = True
+        if r0 < 0:
+            comp_min[v] = v
+            continue
+        parent_uf[v] = r0
+        if not merges:
+            continue
+        by_root = {}
+        for u in nbrs[v]:
+            if rank[u] < rv:
+                by_root.setdefault(find(u), []).append(u)
+        level = vals[v]
+        comps = sorted(by_root.items(), key=lambda kv: rank[comp_min[kv[0]]])
+        elder_side = list(comps[0][1])
+        for root, side in comps[1:]:
+            dying = comp_min[root]
+            gate = min(elder_side, key=rank.__getitem__)
+            parent[dying] = lab[gate]
+            weight[dying] = level - vals[dying]
+            elder_side.extend(side)
+        for root in by_root:
+            parent_uf[root] = r0
+        comp_min[r0] = comp_min[comps[0][0]]
+    return parent, weight
+
+
 def reference_saliency(field):
     """Edge saliency by walking both basins' absorption chains to their meeting point."""
     labels = watershed(field)
-    parent, weight = _absorption_tree(field, labels)
+    parent, weight = reference_absorption_tree(field, labels)
 
     def fuse_level(a, b):
         seen = {}
@@ -405,6 +472,179 @@ class TestOrderKeyedLayers:
     def test_empty_markers_rejected(self):
         with pytest.raises(UsageError, match="markers"):
             watershed_from_markers(GRID33, [])
+
+
+def reference_filter(field, t):
+    """Per-pair breadth-first filter: pairs in ascending order, each raising the
+    component of its minimum below (death, saddle) in the current field state."""
+    pairs = [p for p in pair_by_persistence(field) if not p.is_essential]
+    vals = field.values.copy()
+    nbrs = field.neighbor_lists()
+    for p in pairs:  # already ascending by value
+        if p.value >= t:
+            continue
+        death_key = (p.death, p.saddle_vertex)
+        component = [p.min_vertex]
+        seen = {p.min_vertex}
+        q = deque(component)
+        while q:
+            v = q.popleft()
+            for u in nbrs[v]:
+                if u not in seen and (float(vals[u]), u) < death_key:
+                    seen.add(u)
+                    component.append(u)
+                    q.append(u)
+        vals[component] = p.death
+    return vals
+
+
+def filter_probes(field):
+    """Thresholds between, just above and just below every pair value, plus 1e-9
+    and 1e9; positive and never equal to a pair value."""
+    values = sorted({p.value for p in pair_by_persistence(field) if not p.is_essential})
+    probes = [1e-9, 1e9]
+    probes += [(a + b) / 2 for a, b in zip(values, values[1:])]
+    for v in values:
+        probes += [float(np.nextafter(v, np.inf)), float(np.nextafter(v, -np.inf))]
+    return [t for t in probes if t > 0 and t not in values]
+
+
+def uniform_fields():
+    """Uniform random fields in 1D, 2D and 3D with axis and full connectivity."""
+    for conn in ("axis", "full"):
+        for seed, shape in enumerate([(40,), (9, 11), (5, 4, 6)]):
+            yield random_field(seed, shape=shape, conn=conn)
+
+
+class TestFilterAgainstReference:
+    def check(self, fields):
+        cases = 0
+        for f in fields:
+            for t in filter_probes(f):
+                out = filter_dynamics(f, t)
+                assert out.values.tobytes() == reference_filter(f, t).tobytes(), (f.values, t)
+                cases += 1
+        return cases
+
+    def test_tie_heavy_fields(self):
+        assert self.check(tie_heavy_fields()) > 1000
+
+    def test_level_fields(self):
+        assert self.check(level_fields()) > 100
+
+    def test_uniform_fields(self):
+        assert self.check(uniform_fields()) > 100
+
+
+
+def rule_filter(field, t):
+    """The filter's stated rule by brute force: cancelled pairs in ascending order,
+    each writing its death on the component of its minimum among the vertices
+    that precede its saddle in the input field; the last write wins."""
+    vals = field.values
+    nbrs = field.neighbor_lists()
+    out = vals.copy()
+    for p in pair_by_persistence(field):
+        if p.is_essential or p.value >= t:
+            continue
+        top = (float(vals[p.saddle_vertex]), p.saddle_vertex)
+        component = {p.min_vertex}
+        stack = [p.min_vertex]
+        while stack:
+            v = stack.pop()
+            for u in nbrs[v]:
+                if u not in component and (float(vals[u]), u) < top:
+                    component.add(u)
+                    stack.append(u)
+        out[sorted(component)] = p.death
+    return out
+
+
+def dies_at_both_zeros(field, t):
+    """Do the pairs cancelled below t die at both 0.0 and -0.0?"""
+    signs = {
+        math.copysign(1.0, p.death)
+        for p in pair_by_persistence(field)
+        if not p.is_essential and p.value < t and p.death == 0
+    }
+    return len(signs) == 2
+
+
+def signed_zero_fields(count=160):
+    rng = np.random.default_rng(3)
+    levels = [[-1.0, -0.0, 0.0, 1.0], [-2.0, -1.0, -0.0, 0.0, 1.0], [-0.0, 0.0, 1.0]]
+    grids = [((17,), "axis"), ((5, 6), "axis"), ((5, 6), "full"), ((3, 4, 3), "axis")]
+    for i in range(count):
+        shape, conn = grids[i % len(grids)]
+        vals = rng.choice(levels[i % len(levels)], size=int(np.prod(shape)))
+        yield ScalarField(shape, vals, conn)
+
+
+class TestFilterRule:
+    def test_matches_the_stated_rule(self):
+        for f in itertools.chain(signed_zero_fields(), tie_heavy_fields(80), level_fields()):
+            for t in filter_probes(f):
+                assert filter_dynamics(f, t).values.tobytes() == rule_filter(f, t).tobytes()
+
+    def test_sequential_filter_differs_only_in_the_sign_of_a_raised_zero(self):
+        # bit for bit unless the cancelled pairs die at both 0.0 and -0.0
+        for f in signed_zero_fields():
+            for t in filter_probes(f):
+                out, seq = filter_dynamics(f, t).values, reference_filter(f, t)
+                assert np.array_equal(out, seq)
+                if not dies_at_both_zeros(f, t):
+                    assert out.tobytes() == seq.tobytes()
+
+    def test_sign_of_zero_from_the_last_containing_pair(self):
+        f = ScalarField(
+            (4, 5),
+            [-1, 0, 1, 1, 1, -0.0, -1, 1, 1, -1, -1, -1, 1, -1, -0.0, -0.0, -1, 0, -1, 1],
+        )
+        # the pairs of minima 9 (death 0.0 at 17) and 13 (death -0.0 at 14) tie on
+        # value 1.0 and birth -1; 13 comes last and its component is {13, 18}
+        out = filter_dynamics(f, 2.0).values
+        assert math.copysign(1.0, out[18]) == -1.0 and math.copysign(1.0, out[13]) == -1.0
+        # cancelling pair by pair in the current field, 13 stops at 18, which 9 had
+        # already raised to 0.0 and whose index passes the saddle 14
+        assert math.copysign(1.0, reference_filter(f, 2.0)[18]) == 1.0
+        assert np.array_equal(out, reference_filter(f, 2.0))
+
+
+class TestMergeTreeGates:
+    def test_gates_are_lower_neighbors_of_their_saddles(self):
+        for f in tie_heavy_fields():
+            tree = build_merge_tree(f)
+            rank = f.total_order()[1]
+            assert len(tree.gates) == len(tree.events)
+            for ev, gate in zip(tree.events, tree.gates):
+                assert gate in f.neighbor_lists()[ev.saddle]
+                assert rank[gate] < rank[ev.saddle]
+
+    def test_gates_match_the_absorption_replay(self):
+        for f in tie_heavy_fields():
+            labels = watershed(f)
+            parent, _ = reference_absorption_tree(f, labels)
+            tree = build_merge_tree(f)
+            assert {ev.dying_min: labels.labels[g] for ev, g in zip(tree.events, tree.gates)} == parent
+
+    def test_four_way_saddle(self):
+        # the centre vertex 12 joins four arms; each arm's least vertex is its
+        # minimum (2, 10, 14, 22) and its entry point is the centre's neighbor
+        vals = np.full(25, 9.0)
+        vals[12] = 8.0
+        vals[[2, 7]] = [0.0, 6.0]  # up arm, the survivor
+        vals[[10, 11]] = [1.0, 5.0]  # left arm
+        vals[[14, 13]] = [1.5, 2.0]  # right arm
+        vals[[22, 17]] = [4.0, 4.5]  # down arm
+        tree = build_merge_tree(ScalarField((5, 5), vals))
+        at_centre = [
+            (ev.survivor_min, ev.dying_min, gate)
+            for ev, gate in zip(tree.events, tree.gates)
+            if ev.saddle == 12
+        ]
+        # 10 sees only the up arm (gate 7); 14 also sees the left arm, whose 11
+        # precedes 7; 22 sees the right arm too, whose 13 precedes 11
+        assert at_centre == [(2, 22, 13), (2, 14, 11), (2, 10, 7)]
 
 
 def stack_boundary(field, t):
