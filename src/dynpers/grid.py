@@ -55,6 +55,7 @@ class ScalarField:
     connectivity: Connectivity = Connectivity.AXIS
     _neighbor_cache: list = _dc_field(default=None, repr=False, compare=False)
     _order_cache: tuple = _dc_field(default=None, repr=False, compare=False)
+    _float_cache: tuple = _dc_field(default=None, repr=False, compare=False)
 
     def __init__(self, shape, values, connectivity=Connectivity.AXIS):
         shape = tuple(int(e) for e in shape)
@@ -79,6 +80,7 @@ class ScalarField:
         object.__setattr__(self, "connectivity", _as_connectivity(connectivity))
         object.__setattr__(self, "_neighbor_cache", None)
         object.__setattr__(self, "_order_cache", None)
+        object.__setattr__(self, "_float_cache", None)
 
     @property
     def n_vertices(self) -> int:
@@ -117,6 +119,20 @@ class ScalarField:
             object.__setattr__(self, "_order_cache", (order, rank))
         return self._order_cache
 
+    def float_values(self) -> tuple:
+        """``(floats, least)``: the values as a tuple of Python floats and the
+        total order's least vertex (cached, computed once per field).
+
+        Both come from ``values`` alone, never from :meth:`total_order`, so the
+        path oracle that reads them stays independent of the pairing routes.
+        ``argmin`` picks the least index among tied minima, which is the least
+        vertex of the ``(value, index)`` order.
+        """
+        if self._float_cache is None:
+            floats = tuple(self.values.tolist())
+            object.__setattr__(self, "_float_cache", (floats, int(self.values.argmin())))
+        return self._float_cache
+
 
 def _offsets(ndim: int, connectivity: Connectivity):
     if connectivity is Connectivity.AXIS:
@@ -145,14 +161,23 @@ def offset_slices(shape, connectivity) -> list:
 
 
 def _build_neighbor_lists(shape, connectivity) -> list:
+    # One (n, k) table with a column per offset, the columns in ascending
+    # linear offset so each row is already sorted; -1 marks a neighbor
+    # outside the box and is filtered only from the rows that hold one.
     n = int(np.prod(shape))
     lin = np.arange(n).reshape(shape)
-    lists = [[] for _ in range(n)]
-    for _, src, dst in offset_slices(shape, connectivity):
-        for v, u in zip(lin[src].ravel().tolist(), lin[dst].ravel().tolist()):
-            lists[v].append(u)
-    for l in lists:
-        l.sort()
+    strides = [int(np.prod(shape[i + 1:])) for i in range(len(shape))]
+    slices = sorted(
+        offset_slices(shape, connectivity),
+        key=lambda osd: sum(d * s for d, s in zip(osd[0], strides)),
+    )
+    table = np.full(tuple(shape) + (len(slices),), -1, dtype=np.intp)
+    for j, (_, src, dst) in enumerate(slices):
+        table[src + (j,)] = lin[dst]
+    table = table.reshape(n, len(slices))
+    lists = table.tolist()
+    for v in np.flatnonzero((table < 0).any(axis=1)).tolist():
+        lists[v] = [u for u in lists[v] if u >= 0]
     return lists
 
 

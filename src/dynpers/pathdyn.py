@@ -2,9 +2,10 @@
 
 The dynamics of a local minimum is the least, over all grid walks that reach a
 total-order-smaller vertex, of the highest value met on the way, minus the
-minimum's own value.  :func:`dynamics_oracle` computes it with a best-first
-bottleneck (minimax) search; :func:`exhaustive_dynamics` re-derives it by brute
-force on tiny fields.
+minimum's own value.  :func:`dynamics_oracle` computes it with a priority-flood
+minimax search; :func:`exhaustive_dynamics` re-derives it by brute force on
+tiny fields.  Both read the values from :meth:`ScalarField.float_values`,
+computed once per field from the values alone.
 """
 
 from __future__ import annotations
@@ -20,10 +21,10 @@ INF = math.inf
 
 def _require_local_minimum(field: ScalarField, m: int) -> tuple:
     m = field.check_vertex(m)
-    vals = field.values
-    key = (float(vals[m]), m)
+    vals = field.float_values()[0]
+    key = (vals[m], m)
     for u in field.neighbor_lists()[m]:
-        if (float(vals[u]), u) < key:
+        if (vals[u], u) < key:
             raise UsageError(f"vertex {m} is not a local minimum of the field")
     return key
 
@@ -47,41 +48,41 @@ def effort(field: ScalarField, path) -> float:
 
 
 def dynamics_oracle(field: ScalarField, m: int) -> tuple:
-    """Dynamics of a local minimum plus the witness saddle, by minimax search.
+    """Dynamics of a local minimum plus the witness saddle, by priority flood.
 
-    Expands vertices in ascending order of the bottleneck key
-    ``max over the path of (value, index)``, so ties resolve by the total
-    order and the witness is the total-order-greatest vertex attaining the
-    path maximum -- the same vertex at which the flooding merge happens.
+    Floods outward from ``m``, always popping the least frontier key
+    ``(value, index)`` and pushing each vertex once, and keeps ``top``, the
+    greatest key popped so far.  The first popped key below ``m``'s ends the
+    flood.  The popped set is then connected and holds ``m`` and a lower
+    vertex, so some walk between them stays at or below ``top``.  Until then
+    the frontier always holds a vertex of the best walk, so no popped key
+    exceeds that walk's maximum.  ``top`` is therefore the minimax key
+    ``max over the path of (value, index)``: ties resolve by the total order,
+    and the witness is the total-order-greatest vertex attaining the path
+    maximum -- the same vertex at which the flooding merge happens.
 
     Returns ``(value, witness)``; the total-order-least vertex of the field
     gets ``(inf, None)``.
     """
     key_m = _require_local_minimum(field, m)
-    vals = field.values
-    nbrs = field.neighbor_lists()
-
-    # The absolute minimum has nothing lower to reach; argmin picks the least
-    # index among tied minima, so it is the total order's least vertex.
-    if int(vals.argmin()) == m:
+    vals, least = field.float_values()
+    if least == m:
         return (INF, None)
 
-    best: dict = {m: key_m}
-    heap = [(key_m[0], key_m[1], m)]
-    while heap:
-        bval, bvert, v = heapq.heappop(heap)
-        bkey = (bval, bvert)
-        if best.get(v) != bkey:
-            continue
-        if (float(vals[v]), v) < key_m:
-            return (bval - key_m[0], bvert)
-        for u in nbrs[v]:
-            uk = (float(vals[u]), u)
-            nk = bkey if bkey >= uk else uk
-            old = best.get(u)
-            if old is None or nk < old:
-                best[u] = nk
-                heapq.heappush(heap, (nk[0], nk[1], u))
+    nbrs = field.neighbor_lists()
+    seen = {m}
+    frontier = [key_m]
+    top = key_m
+    while frontier:
+        key = heapq.heappop(frontier)
+        if key < key_m:
+            return (top[0] - key_m[0], top[1])
+        if key > top:
+            top = key
+        for u in nbrs[key[1]]:
+            if u not in seen:
+                seen.add(u)
+                heapq.heappush(frontier, (vals[u], u))
     raise AssertionError("grid is connected; a lower vertex must be reachable")
 
 
@@ -100,12 +101,10 @@ def exhaustive_dynamics(field: ScalarField, m: int) -> float:
             f"vertices, got {field.n_vertices}"
         )
     key_m = _require_local_minimum(field, m)
-    vals = field.values
+    vals = field.float_values()[0]
     nbrs = field.neighbor_lists()
 
-    targets = [
-        v for v in range(field.n_vertices) if (float(vals[v]), v) < key_m
-    ]
+    targets = [v for v in range(field.n_vertices) if (vals[v], v) < key_m]
     if not targets:
         return INF
 
@@ -119,10 +118,10 @@ def exhaustive_dynamics(field: ScalarField, m: int) -> float:
         for u in nbrs[v]:
             if visited[u]:
                 continue
-            nm = cur_max if cur_max >= float(vals[u]) else float(vals[u])
+            nm = cur_max if cur_max >= vals[u] else vals[u]
             if nm - fm >= best:
                 continue
-            if (float(vals[u]), u) < key_m:
+            if (vals[u], u) < key_m:
                 best = nm - fm
                 continue
             visited[u] = True

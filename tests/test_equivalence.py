@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dynpers import (
     GeneratorSpec,
@@ -77,6 +79,20 @@ class TestVerifyEquivalence:
         assert not report.pairings_identical
         assert report.first_counterexample == (None, 1)
         assert report.max_value_discrepancy == 0.5
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        shape=st.lists(st.integers(1, 6), min_size=1, max_size=3),
+        conn=st.sampled_from(["axis", "full"]),
+        levels=st.integers(2, 4),
+        data=st.data(),
+    )
+    def test_oracle_agrees_on_few_level_fields(self, shape, conn, levels, data):
+        # plateaus everywhere: ties are resolved by the index alone
+        n = int(np.prod(shape))
+        vals = data.draw(st.lists(st.integers(0, levels - 1), min_size=n, max_size=n))
+        field = ScalarField(tuple(shape), [float(v) for v in vals], conn)
+        assert verify_equivalence(field, check_oracle=True).pairings_identical
 
 
 class TestSweep:

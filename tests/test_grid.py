@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,8 +16,22 @@ from dynpers import (
     precedes,
     sort_vertices,
 )
+from dynpers.grid import _build_neighbor_lists, offset_slices
 
 SIGNAL = ScalarField((5,), [5, 1, 4, 0, 6])
+
+
+def reference_neighbor_lists(shape, connectivity):
+    """Per-offset append loop, then a sort of every list."""
+    n = int(np.prod(shape))
+    lin = np.arange(n).reshape(shape)
+    lists = [[] for _ in range(n)]
+    for _, src, dst in offset_slices(shape, connectivity):
+        for v, u in zip(lin[src].ravel().tolist(), lin[dst].ravel().tolist()):
+            lists[v].append(u)
+    for l in lists:
+        l.sort()
+    return lists
 
 
 class TestScalarField:
@@ -82,6 +98,15 @@ class TestNeighbors:
             assert len(nl) == len(set(nl))
             for u in nl:
                 assert v in lists[u]
+
+    def test_matches_reference_on_every_small_shape(self):
+        # every shape with extents 1-7 in 1D-3D and 1-4 in 4D (extent-1
+        # axes, two-vertex axes and interiors in every position)
+        for ndim, top in ((1, 7), (2, 7), (3, 7), (4, 4)):
+            for shape in itertools.product(range(1, top + 1), repeat=ndim):
+                for conn in Connectivity:
+                    expected = reference_neighbor_lists(shape, conn)
+                    assert _build_neighbor_lists(shape, conn) == expected, (shape, conn)
 
     def test_axis_degree_bound(self):
         f = ScalarField((4, 4, 4), np.zeros(64))

@@ -1,3 +1,4 @@
+import heapq
 import itertools
 import math
 
@@ -16,6 +17,61 @@ from dynpers import (
 
 SIGNAL = ScalarField((5,), [5, 1, 4, 0, 6])
 GRID33 = ScalarField((3, 3), [9, 8, 10, 2, 7, 3, 11, 12, 13])
+
+
+def reference_oracle(field, m):
+    """Best-first bottleneck search with a best-key map and lazy deletion."""
+    vals = field.values
+    key_m = (float(vals[m]), m)
+    nbrs = field.neighbor_lists()
+
+    # The absolute minimum has nothing lower to reach; argmin picks the least
+    # index among tied minima, so it is the total order's least vertex.
+    if int(vals.argmin()) == m:
+        return (math.inf, None)
+
+    best: dict = {m: key_m}
+    heap = [(key_m[0], key_m[1], m)]
+    while heap:
+        bval, bvert, v = heapq.heappop(heap)
+        bkey = (bval, bvert)
+        if best.get(v) != bkey:
+            continue
+        if (float(vals[v]), v) < key_m:
+            return (bval - key_m[0], bvert)
+        for u in nbrs[v]:
+            uk = (float(vals[u]), u)
+            nk = bkey if bkey >= uk else uk
+            old = best.get(u)
+            if old is None or nk < old:
+                best[u] = nk
+                heapq.heappush(heap, (nk[0], nk[1], u))
+    raise AssertionError("grid is connected; a lower vertex must be reachable")
+
+
+def oracle_fields():
+    """Tie-heavy values -- integers with 2-4 levels, {-0.0, 0.0, 1.0}, uniform
+    random, constant -- on 1D, 2D axis, 2D full and 3D full grids, then
+    uniform 2D axis and 3D full fields."""
+    rng = np.random.default_rng(4099)
+    grids = [((23,), "axis"), ((7, 9), "axis"), ((7, 9), "full"), ((4, 3, 5), "full")]
+    for i in range(320):
+        shape, conn = grids[i % len(grids)]
+        n = int(np.prod(shape))
+        kind = (i // len(grids)) % 4
+        if kind == 0:
+            vals = rng.integers(0, 2 + (i // 16) % 3, size=n).astype(float)
+        elif kind == 1:
+            vals = rng.choice([-0.0, 0.0, 1.0], size=n)
+        elif kind == 2:
+            vals = rng.uniform(-1.0, 1.0, size=n)
+        else:
+            vals = np.full(n, rng.choice([-0.0, 0.0, 2.5]))
+        yield ScalarField(shape, vals, conn)
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        yield ScalarField((24, 24), rng.uniform(size=576))
+        yield ScalarField((8, 7, 9), rng.uniform(size=504), "full")
 
 
 class TestEffort:
@@ -70,6 +126,41 @@ class TestDynamicsOracle:
         assert dynamics_oracle(f, 0) == (4.0, 2)
         pairs = {p.min_vertex: p for p in pair_by_dynamics(f)}
         assert pairs[0].saddle_vertex == 2
+
+
+class TestAgainstReference:
+    def test_equal_to_best_first_search(self):
+        checked = 0
+        for f in oracle_fields():
+            for m in local_minima(f):
+                value, witness = dynamics_oracle(f, m)
+                ref_value, ref_witness = reference_oracle(f, m)
+                assert witness == ref_witness
+                assert value == ref_value
+                assert math.copysign(1.0, value) == math.copysign(1.0, ref_value)
+                checked += 1
+        assert checked > 2000
+
+    def test_float_values_cache(self):
+        for vals in ([0.0, -0.0, 3.5, -0.0], [2.0, 1.0, 1.0], [7.0]):
+            f = ScalarField((len(vals),), vals)
+            cached = f.float_values()
+            floats, least = cached
+            assert type(floats) is tuple and all(type(x) is float for x in floats)
+            assert f.float_values() is cached
+            assert repr(floats) == repr(tuple(f.values.tolist()))
+            assert least == int(np.argmin(f.values))
+
+    def test_oracle_never_builds_the_total_order(self):
+        # the oracle must stay independent of the rank array the pairing
+        # routes share, so it may not trigger its computation
+        f = ScalarField((6, 7), np.random.default_rng(3).integers(0, 3, 42).astype(float))
+        lists = f.neighbor_lists()
+        keys = [(float(x), v) for v, x in enumerate(f.values)]
+        minima = [v for v in range(42) if all(keys[v] < keys[u] for u in lists[v])]
+        for m in minima:
+            assert dynamics_oracle(f, m) == reference_oracle(f, m)
+        assert f._order_cache is None
 
 
 class TestTiedGlobalMinimum:
