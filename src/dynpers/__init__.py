@@ -13,7 +13,6 @@ from .grid import (
     filtration_order,
     local_minima,
     neighbors,
-    order_key,
     precedes,
     sort_vertices,
 )
@@ -81,7 +80,6 @@ __all__ = [
     "local_minima",
     "minimal_regions",
     "neighbors",
-    "order_key",
     "pair_1d_algorithm1",
     "pair_by_dynamics",
     "pair_by_persistence",

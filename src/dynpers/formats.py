@@ -31,19 +31,16 @@ def sniff_format(text: str) -> str:
 
 
 def read_field(source, fmt: str | None = None, connectivity=Connectivity.AXIS) -> ScalarField:
-    """Parse a field from a path, file object or string.
+    """Parse a field from a path or a file object.
 
-    A string naming an existing file is read as a path; any other string is
-    parsed as field text.  Use :func:`parse_field` to parse text that might
-    coincide with a file name.  ``fmt`` is as for :func:`parse_field`.
+    A string is always a path; parse field text with :func:`parse_field`.
+    ``fmt`` is as for :func:`parse_field`.
     """
     if hasattr(source, "read"):
         text = source.read()
-    elif isinstance(source, (str, os.PathLike)) and os.path.exists(source):
+    elif isinstance(source, (str, os.PathLike)):
         with open(source, "r", encoding="ascii") as fh:
             text = fh.read()
-    elif isinstance(source, str):
-        text = source
     else:
         raise FormatError(f"cannot read field from {source!r}")
     return parse_field(text, fmt, connectivity)

@@ -181,12 +181,6 @@ def _build_neighbor_lists(shape, connectivity) -> list:
     return lists
 
 
-def order_key(field: ScalarField, v: int) -> tuple:
-    """Total-order key of a vertex: ``(value, linear index)``."""
-    v = field.check_vertex(v)
-    return (float(field.values[v]), v)
-
-
 def precedes(field: ScalarField, a: int, b: int) -> bool:
     """Strict total order: does ``a`` come before ``b``?
 

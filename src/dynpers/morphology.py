@@ -143,22 +143,39 @@ def watershed(field: ScalarField) -> WatershedLabels:
     return watershed_from_markers(field, minimal_regions(field))
 
 
+def _descent_basins(field: ScalarField) -> np.ndarray:
+    """The minimum each vertex's steepest descent ends at, per vertex.
+
+    Each vertex points to its least-rank neighbor, or to itself if none is
+    lower; pointer jumping then follows every path to its end.
+    """
+    order, rank = field.total_order()
+    rank = rank.reshape(field.shape)
+    low = rank.copy()
+    for _, src, dst in offset_slices(field.shape, field.connectivity):
+        np.minimum(low[src], rank[dst], out=low[src])
+    ptr = order[low.reshape(-1)]
+    while not np.array_equal(ptr, ptr[ptr]):
+        ptr = ptr[ptr]
+    return ptr
+
+
 def filter_dynamics(field: ScalarField, t: float) -> ScalarField:
     """Cancel every pair with value below ``t`` (connected filter).
 
-    Each vertex is raised to the death level of the last cancelled pair, in
-    ascending pair order, whose dying component contains it: the component
-    of the pair's minimum among the vertices that precede its saddle in the
-    input field.  Vertices in no such component keep their value.  Values
-    never decrease; the output has no surviving minimum with dynamics below
-    ``t``.
+    Each vertex takes the value ``f(s*)`` of ``s*``, the rank-greatest
+    cancelled saddle whose dying component contains it: the vertices of rank
+    below the saddle connected to the pair's minimum in the input field.
+    Vertices in no such component keep their value.  Values never decrease;
+    the output has no surviving minimum with dynamics below ``t``.
 
-    One pass over the cancelled pairs in reverse order: a vertex keeps the
-    first death that reaches it, and a pair whose minimum already lies in a
-    later pair's component with a later saddle adds nothing and is skipped.
-    Cancelling pair by pair, each raising its component in the current
-    field, gives the same values; where the cancelled pairs die at both 0.0
-    and -0.0 it may leave a raised zero with the other sign.
+    One reverse pass over the merge tree's events.  Along the chain of deaths
+    of a vertex's descent basin (the basin's minimum, then the minimum it
+    dies into, and so on) the saddle ranks increase, and the vertex lies in
+    the dying component of a chain member exactly when its rank is below
+    that member's saddle.  So the owner is the greatest cancelled saddle on
+    the chain whenever its rank exceeds the vertex's, and otherwise no
+    cancelled pair contains the vertex.
 
     ``t`` must be positive and must not equal any finite pair value, because
     the boundary case would be ambiguous; such a collision is rejected.
@@ -166,37 +183,25 @@ def filter_dynamics(field: ScalarField, t: float) -> ScalarField:
     t = float(t)
     if not (t > 0.0 and math.isfinite(t)):
         raise UsageError(f"filter threshold must be positive and finite, got {t}")
-    pairs = [p for p in pair_by_persistence(field) if not p.is_essential]
-    for p in pairs:
-        if p.value == t:
-            raise UsageError(
-                f"threshold {t} collides with the pair value {p.value} of minimum "
-                f"{p.min_vertex}; pick a value strictly between pair values"
-            )
-    cancelled = [p for p in pairs if p.value < t]  # ascending
-    rank = field.total_order()[1].tolist()
-    nbrs = field.neighbor_lists()
-    raised_at = [-1] * field.n_vertices  # rank of the saddle whose death a vertex took
-    walked = [-1] * field.n_vertices  # vertex -> last pair whose walk reached it
-    vals = field.values.copy()
-    for i, p in enumerate(reversed(cancelled)):
-        top = rank[p.saddle_vertex]
-        if raised_at[p.min_vertex] > top:
-            continue
-        raised = []
-        stack = [p.min_vertex]
-        walked[p.min_vertex] = i
-        while stack:
-            v = stack.pop()
-            if raised_at[v] < 0:
-                raised_at[v] = top
-                raised.append(v)
-            for u in nbrs[v]:
-                if walked[u] != i and rank[u] < top:
-                    walked[u] = i
-                    stack.append(u)
-        vals[raised] = p.death
-    return ScalarField(field.shape, vals, field.connectivity)
+    vals = field.values.tolist()
+    order, rank = field.total_order()
+    events = build_merge_tree(field).events
+    value = [ev.level - vals[ev.dying_min] for ev in events]
+    collisions = [(vals[ev.dying_min], ev.dying_min) for ev, v in zip(events, value) if v == t]
+    if collisions:
+        raise UsageError(
+            f"threshold {t} collides with the pair value {t} of minimum "
+            f"{min(collisions)[1]}; pick a value strictly between pair values"
+        )
+    top = {}  # minimum -> greatest cancelled saddle rank on its chain of deaths
+    for ev, v in zip(reversed(events), reversed(value)):
+        c = int(rank[ev.saddle]) if v < t else -1
+        top[ev.dying_min] = max(c, top.get(ev.survivor_min, -1))
+    owner = np.full(field.n_vertices, -1, dtype=np.intp)
+    owner[list(top)] = list(top.values())
+    owner = owner[_descent_basins(field)]
+    out = np.where(rank < owner, field.values[order[owner]], field.values)
+    return ScalarField(field.shape, out, field.connectivity)
 
 
 @dataclass(frozen=True)

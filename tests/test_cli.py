@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import dynpers.cli as cli
-from dynpers import ScalarField, pair_by_dynamics, read_field, watershed
+from dynpers import ScalarField, pair_by_dynamics, parse_field, watershed
 
 SIGNAL_CSV = "5\n1\n4\n0\n6\n"
 
@@ -254,7 +254,7 @@ class TestHostileInput:
         code, out, err = run_main(["watershed"], text, capsys, monkeypatch)
         assert code == 0, err
         assert out.startswith("FIELD 2 257 256\n")
-        labels = read_field(out).values
+        labels = parse_field(out).values
         expected = watershed(ScalarField(shape, values)).labels
         assert labels.tolist() == list(expected) and labels.max() == n - 1
 

@@ -1,17 +1,25 @@
 import numpy as np
 import pytest
 
-from dynpers import FormatError, ScalarField, UsageError, read_field, sniff_format, write_field
+from dynpers import (
+    FormatError,
+    ScalarField,
+    UsageError,
+    parse_field,
+    read_field,
+    sniff_format,
+    write_field,
+)
 
 
 def test_csv_parse_example():
-    f = read_field("5\n1\n4\n0\n6\n", "csv-1d")
+    f = parse_field("5\n1\n4\n0\n6\n", "csv-1d")
     assert f.shape == (5,)
     assert f.values.tolist() == [5, 1, 4, 0, 6]
 
 
 def test_fieldnd_parse_example():
-    f = read_field("FIELD 2 3 3\n9 8 10 2 7 3 11 12 13\n", "field-nd")
+    f = parse_field("FIELD 2 3 3\n9 8 10 2 7 3 11 12 13\n", "field-nd")
     assert f.shape == (3, 3)
     assert f.values.tolist() == [9, 8, 10, 2, 7, 3, 11, 12, 13]
 
@@ -29,21 +37,21 @@ def test_fieldnd_roundtrip_random_32x32(tmp_path):
 def test_csv_roundtrip_bit_exact():
     rng = np.random.default_rng(3)
     f = ScalarField((64,), rng.uniform(-1e9, 1e9, 64))
-    g = read_field(write_field(f, fmt="csv-1d"), "csv-1d")
+    g = parse_field(write_field(f, fmt="csv-1d"), "csv-1d")
     assert np.array_equal(g.values, f.values)
 
 
 def test_pgm_roundtrip_quantizes():
     f = ScalarField((2, 3), [0.2, 1.6, 2.4, 3.5, 4.0, 5.9])
     text = write_field(f, fmt="pgm-2d")
-    g = read_field(text, "pgm-2d")
+    g = parse_field(text, "pgm-2d")
     assert g.shape == (2, 3)
     assert g.values.tolist() == np.rint(f.values).tolist()
 
 
 def test_pgm_reads_comments_and_whitespace():
     text = "P2\n# a comment\n3 2\n10\n0 1 2\n3 4 5\n"
-    f = read_field(text)
+    f = parse_field(text)
     assert f.shape == (2, 3)
     assert f.values.tolist() == [0, 1, 2, 3, 4, 5]
 
@@ -70,7 +78,7 @@ def test_pgm_write_rejects_negative_and_overflow():
 )
 def test_parse_errors_name_location(text, fmt, fragment):
     with pytest.raises(FormatError, match=fragment):
-        read_field(text, fmt)
+        parse_field(text, fmt)
 
 
 @pytest.mark.parametrize(
@@ -86,7 +94,7 @@ def test_parse_errors_name_location(text, fmt, fragment):
 )
 def test_parse_error_messages(text, fmt, message):
     with pytest.raises(FormatError) as info:
-        read_field(text, fmt)
+        parse_field(text, fmt)
     assert str(info.value) == message
 
 
@@ -103,4 +111,15 @@ def test_csv_rejects_nd_field():
 
 def test_unknown_format_rejected():
     with pytest.raises(UsageError):
-        read_field("1\n", "npy")
+        parse_field("1\n", "npy")
+
+
+def test_read_field_takes_a_path_or_a_file_object(tmp_path):
+    path = tmp_path / "signal.csv"
+    path.write_text("5\n1\n4\n0\n6\n", encoding="ascii")
+    assert read_field(str(path)).values.tolist() == [5, 1, 4, 0, 6]
+    with open(path, encoding="ascii") as fh:
+        assert read_field(fh).values.tolist() == [5, 1, 4, 0, 6]
+    # a string is always a path, never field text
+    with pytest.raises(FileNotFoundError):
+        read_field("5\n1\n4\n0\n6\n")
