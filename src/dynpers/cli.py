@@ -9,6 +9,7 @@ means stdin/stdout, so commands compose in pipes.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -39,6 +40,8 @@ EXIT_DOMAIN = 1
 EXIT_IO = 2
 EXIT_DIVERGENCE = 3
 
+_MAX_VERTICES = sys.maxsize // 8  # a float64 array's byte size must fit a signed size
+
 
 def _parse_shape(text: str) -> tuple:
     try:
@@ -47,6 +50,8 @@ def _parse_shape(text: str) -> tuple:
         raise UsageError(f"bad shape {text!r}; expected forms like 256 or 32x32") from None
     if not shape or any(e < 1 for e in shape):
         raise UsageError(f"bad shape {text!r}; every extent must be >= 1")
+    if math.prod(shape) > _MAX_VERTICES:
+        raise UsageError(f"shape {text!r} has more vertices than a float64 array can hold")
     return shape
 
 
@@ -339,9 +344,14 @@ _COMMANDS = {
 }
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """One parser per process; parsing leaves it unchanged, so calls can share it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     conn = Connectivity(args.connectivity)
     try:
         return _COMMANDS[args.command](args, conn, args.invert)
@@ -353,6 +363,9 @@ def main(argv=None) -> int:
         return EXIT_IO
     except UsageError as exc:
         print(f"dynpers: error: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
+    except MemoryError:
+        print("dynpers: error: not enough memory for this input", file=sys.stderr)
         return EXIT_DOMAIN
     except OSError as exc:
         print(f"dynpers: i/o error: {exc}", file=sys.stderr)

@@ -160,10 +160,12 @@ def offset_slices(shape, connectivity) -> list:
     return out
 
 
-def _build_neighbor_lists(shape, connectivity) -> list:
-    # One (n, k) table with a column per offset, the columns in ascending
-    # linear offset so each row is already sorted; -1 marks a neighbor
-    # outside the box and is filtered only from the rows that hold one.
+def neighbor_table(shape, connectivity) -> np.ndarray:
+    """``(n, k)`` array of every vertex's neighbors, -1 outside the box.
+
+    One column per offset, the columns in ascending linear offset, so each
+    row's neighbors are sorted ascending.
+    """
     n = int(np.prod(shape))
     lin = np.arange(n).reshape(shape)
     strides = [int(np.prod(shape[i + 1:])) for i in range(len(shape))]
@@ -174,7 +176,12 @@ def _build_neighbor_lists(shape, connectivity) -> list:
     table = np.full(tuple(shape) + (len(slices),), -1, dtype=np.intp)
     for j, (_, src, dst) in enumerate(slices):
         table[src + (j,)] = lin[dst]
-    table = table.reshape(n, len(slices))
+    return table.reshape(n, len(slices))
+
+
+def _build_neighbor_lists(shape, connectivity) -> list:
+    # -1 is filtered only from the rows that hold one.
+    table = neighbor_table(shape, connectivity)
     lists = table.tolist()
     for v in np.flatnonzero((table < 0).any(axis=1)).tolist():
         lists[v] = [u for u in lists[v] if u >= 0]
@@ -206,6 +213,15 @@ def neighbors(field: ScalarField, v: int) -> list:
     return list(field.neighbor_lists()[v])
 
 
+def _steepest_step(field: ScalarField) -> np.ndarray:
+    """Per vertex, the least rank among the vertex and its neighbors."""
+    rank = field.total_order()[1].reshape(field.shape)
+    low = rank.copy()
+    for _, src, dst in offset_slices(field.shape, field.connectivity):
+        np.minimum(low[src], rank[dst], out=low[src])
+    return low.reshape(-1)
+
+
 def local_minima(field: ScalarField) -> list:
     """Vertices all of whose neighbors come later in the total order.
 
@@ -213,11 +229,27 @@ def local_minima(field: ScalarField) -> list:
     this is exactly the set of strict value minima.
     """
     order, rank = field.total_order()
-    rank = rank.reshape(field.shape)
-    is_min = np.ones(field.shape, dtype=bool)
-    for _, src, dst in offset_slices(field.shape, field.connectivity):
-        is_min[src] &= rank[src] < rank[dst]
-    return order[is_min.reshape(-1)[order]].tolist()
+    return order[(_steepest_step(field) == rank)[order]].tolist()
+
+
+def _descent_basins(field: ScalarField) -> tuple:
+    """``(minima, basin)``: the local minima sorted by the total order, and per
+    vertex the age of the minimum its steepest descent ends at (its index in
+    ``minima``).
+
+    Each vertex steps to its least-rank neighbor, or stays if none is lower;
+    pointer jumping then follows every path to its end.
+    """
+    order, rank = field.total_order()
+    down = _steepest_step(field)[order]  # per rank, the rank one step down
+    is_min = down == np.arange(down.size)
+    while True:
+        nxt = down[down]
+        if np.array_equal(nxt, down):
+            break
+        down = nxt
+    age = np.cumsum(is_min) - 1
+    return order[is_min], age[down][rank]
 
 
 def filtration_order(field: ScalarField) -> list:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UsageError
-from .grid import Connectivity, ScalarField, filtration_order, offset_slices
+from .grid import Connectivity, ScalarField, _descent_basins, filtration_order, offset_slices
 from .pairing import build_merge_tree, pair_by_persistence
 
 
@@ -143,23 +143,6 @@ def watershed(field: ScalarField) -> WatershedLabels:
     return watershed_from_markers(field, minimal_regions(field))
 
 
-def _descent_basins(field: ScalarField) -> np.ndarray:
-    """The minimum each vertex's steepest descent ends at, per vertex.
-
-    Each vertex points to its least-rank neighbor, or to itself if none is
-    lower; pointer jumping then follows every path to its end.
-    """
-    order, rank = field.total_order()
-    rank = rank.reshape(field.shape)
-    low = rank.copy()
-    for _, src, dst in offset_slices(field.shape, field.connectivity):
-        np.minimum(low[src], rank[dst], out=low[src])
-    ptr = order[low.reshape(-1)]
-    while not np.array_equal(ptr, ptr[ptr]):
-        ptr = ptr[ptr]
-    return ptr
-
-
 def filter_dynamics(field: ScalarField, t: float) -> ScalarField:
     """Cancel every pair with value below ``t`` (connected filter).
 
@@ -183,23 +166,25 @@ def filter_dynamics(field: ScalarField, t: float) -> ScalarField:
     t = float(t)
     if not (t > 0.0 and math.isfinite(t)):
         raise UsageError(f"filter threshold must be positive and finite, got {t}")
-    vals = field.values.tolist()
     order, rank = field.total_order()
-    events = build_merge_tree(field).events
-    value = [ev.level - vals[ev.dying_min] for ev in events]
-    collisions = [(vals[ev.dying_min], ev.dying_min) for ev, v in zip(events, value) if v == t]
-    if collisions:
+    tree = build_merge_tree(field)
+    dying = np.array(tree.dying_mins, dtype=np.intp)
+    value = np.array(tree.levels, dtype=np.float64) - field.values[dying]
+    hit = dying[value == t]
+    if hit.size:
+        least = min(zip(field.values[hit].tolist(), hit.tolist()))[1]
         raise UsageError(
             f"threshold {t} collides with the pair value {t} of minimum "
-            f"{min(collisions)[1]}; pick a value strictly between pair values"
+            f"{least}; pick a value strictly between pair values"
         )
+    cancelled = np.where(value < t, rank[np.array(tree.saddles, dtype=np.intp)], -1).tolist()
     top = {}  # minimum -> greatest cancelled saddle rank on its chain of deaths
-    for ev, v in zip(reversed(events), reversed(value)):
-        c = int(rank[ev.saddle]) if v < t else -1
-        top[ev.dying_min] = max(c, top.get(ev.survivor_min, -1))
-    owner = np.full(field.n_vertices, -1, dtype=np.intp)
-    owner[list(top)] = list(top.values())
-    owner = owner[_descent_basins(field)]
+    for dying_min, survivor, c in zip(
+        reversed(tree.dying_mins), reversed(tree.survivor_mins), reversed(cancelled)
+    ):
+        top[dying_min] = max(c, top.get(survivor, -1))
+    owner = np.array([top.get(m, -1) for m in tree.minima], dtype=np.intp)
+    owner = owner[_descent_basins(field)[1]]
     out = np.where(rank < owner, field.values[order[owner]], field.values)
     return ScalarField(field.shape, out, field.connectivity)
 
@@ -311,11 +296,9 @@ def saliency(field: ScalarField) -> SaliencyMap:
     lab = watershed(field).labels
     vals = field.values.tolist()
     tree = build_merge_tree(field)
-    parent = {}  # dying minimum -> the basin its water runs into
-    weight = {}  # dying minimum -> its pair value
-    for ev, gate in zip(tree.events, tree.gates):
-        parent[ev.dying_min] = lab[gate]
-        weight[ev.dying_min] = ev.level - vals[ev.dying_min]
+    # dying minimum -> the basin its water runs into, and its pair value
+    parent = {m: lab[gate] for m, gate in zip(tree.dying_mins, tree.gates)}
+    weight = {m: level - vals[m] for m, level in zip(tree.dying_mins, tree.levels)}
 
     def basin_pair(u, v):
         a, b = lab[u], lab[v]

@@ -12,9 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 from .errors import UsageError
-from .grid import ScalarField, filtration_order
+from .grid import ScalarField, _descent_basins, filtration_order, neighbor_table, offset_slices
 
 INF = math.inf
 
@@ -38,83 +41,175 @@ class MergeEvent:
 class MergeTree:
     """Merge events in filtration order plus the minima that seeded components.
 
+    The events are stored as columns, one entry per event: ``saddles``,
+    ``survivor_mins``, ``dying_mins`` and ``levels`` hold the fields of
+    :class:`MergeEvent`, and :attr:`events` builds those objects on first use.
+    ``minima`` is in total order, so ``minima[0]`` is the essential one.
+
     On a connected grid ``len(events) == len(minima) - 1``.  A vertex whose
     insertion joins k >= 2 components contributes k - 1 events at its level,
     each joining the current survivor with the next dying component, the dying
     minima taken in descending total order.
 
-    ``gates[i]`` is the gate of ``events[i]``: the total-order-least lower
+    ``gates[i]`` is the gate of event ``i``: the total-order-least lower
     neighbor of the saddle on the elder side, which is the survivor's
     component plus every component joined at that saddle whose minimum
     precedes the dying one.  Water of the dying component that overflows the
     saddle runs down to the gate.
     """
 
-    events: tuple
-    minima: tuple
+    saddles: tuple
+    survivor_mins: tuple
+    dying_mins: tuple
+    levels: tuple
     gates: tuple
+    minima: tuple
+
+    @cached_property
+    def events(self) -> tuple:
+        return tuple(
+            map(MergeEvent, self.saddles, self.survivor_mins, self.dying_mins, self.levels)
+        )
+
+
+def _basin_graph(field: ScalarField, rank, basin) -> tuple:
+    """``(a, b, weight)``: every grid edge whose endpoints lie in different
+    descent basins, as the two basin ids and ``max(rank[u], rank[v])``."""
+    zero = (0,) * field.ndim
+    basin = basin.reshape(field.shape)
+    rank = rank.reshape(field.shape)
+    a, b, weight = [], [], []
+    for off, src, dst in offset_slices(field.shape, field.connectivity):
+        if off > zero:
+            bs, bd = basin[src], basin[dst]
+            cut = bs != bd
+            a.append(bs[cut])
+            b.append(bd[cut])
+            weight.append(np.maximum(rank[src][cut], rank[dst][cut]))
+    return np.concatenate(a), np.concatenate(b), np.concatenate(weight)
+
+
+def _spanning_saddles(a, b, weight, k: int, n: int) -> np.ndarray:
+    """Distinct weights of the basin graph's minimum spanning forest, ascending.
+
+    Borůvka rounds over the ``k`` basins: every component takes its least
+    incident edge under the unique key ``weight * m + edge index``, hooks
+    along it (a mutual pair hooks toward the smaller id) and pointer-jumps to
+    its new root; the edges now inside one component are dropped.  Each round
+    at least halves the number of components that still have edges.
+    """
+    m = weight.size
+    key = weight * m + np.arange(m)
+    ids = np.arange(k)
+    root = ids  # basin -> its current component
+    spanning = np.zeros(n, dtype=bool)
+    none = np.iinfo(key.dtype).max
+    a0, b0 = a, b
+    while key.size:
+        best = np.full(k, none)
+        np.minimum.at(best, a, key)
+        np.minimum.at(best, b, key)
+        has = np.flatnonzero(best != none)
+        spanning[best[has] // m] = True
+        edge = best[has] % m
+        ends_a, ends_b = root[a0[edge]], root[b0[edge]]
+        hook = ids.copy()
+        hook[has] = np.where(ends_a == has, ends_b, ends_a)
+        mutual = (hook[hook] == ids) & (ids < hook)
+        hook[mutual] = ids[mutual]
+        while True:
+            nxt = hook[hook]
+            if np.array_equal(nxt, hook):
+                break
+            hook = nxt
+        root = hook[root]
+        a, b = hook[a], hook[b]
+        keep = np.flatnonzero(a != b)
+        a, b, key = a[keep], b[keep], key[keep]
+    return np.flatnonzero(spanning)
 
 
 def build_merge_tree(field: ScalarField) -> MergeTree:
-    """Union-find sweep of the sublevel filtration."""
-    vals = field.values.tolist()
-    rank = field.total_order()[1].tolist()
-    nbrs = field.neighbor_lists()
+    """Merge tree of the sublevel filtration, from its steepest-descent basins.
 
-    parent = list(range(field.n_vertices))
-    comp_min = [-1] * field.n_vertices  # root -> minimum vertex of the component
-    events = []
-    gates = []
-    minima = []
+    The union-find sweep of the sublevel filtration is Kruskal's algorithm on
+    the graph of steepest-descent basins (the drop-of-water principle), so
+    only vertices carrying an edge of the basin graph's minimum spanning
+    forest can merge anything; the union-find sweep is replayed at those
+    saddles alone, in total order.
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
+    Why the replay is exact: a vertex's steepest descent never rises above
+    it, so when ``w`` enters the sublevel set each lower neighbor of ``w`` is
+    already in the component of its basin's minimum.  Two basins are joined
+    below ``w`` exactly when a path of basin-graph edges lighter than
+    ``rank[w]`` links them, and any minimum spanning forest keeps that
+    connectivity.  A vertex that joins k >= 2 components carries at least one
+    forest edge (all edges of weight ``rank[w]`` meet at ``w``), and a forest
+    edge always joins two components.  Components are kept as compact basin
+    ids (the minima's ages), a root always being its component's eldest.
+    """
+    order, rank = field.total_order()
+    minima, basin = _descent_basins(field)
+    k = minima.size
+    n = field.n_vertices
+    saddles = order[_spanning_saddles(*_basin_graph(field, rank, basin), k, n)]
 
-    for v in filtration_order(field):
-        rv = rank[v]
-        r0 = -1
-        merges = False
-        for u in nbrs[v]:
-            if rank[u] < rv:  # u is already in the sublevel set
-                r = find(u)
-                if r0 < 0:
-                    r0 = r
-                elif r != r0:
-                    merges = True
-        if r0 < 0:
-            comp_min[v] = v
-            minima.append(v)
+    # Lower neighbors of each saddle in total order, as one flat run per saddle.
+    nrank = neighbor_table(field.shape, field.connectivity)[saddles]
+    nrank = np.where(nrank >= 0, rank[nrank], n)
+    nrank.sort(axis=1)
+    is_lower = nrank < rank[saddles][:, None]
+    lower = order[nrank[is_lower]]
+    ends = np.cumsum(is_lower.sum(axis=1)).tolist()
+    lower_basin = basin[lower].tolist()
+    lower = lower.tolist()
+
+    mins = minima.tolist()
+    parent = list(range(k))
+    out_saddle, out_survivor, out_dying, out_level, out_gate = [], [], [], [], []
+    start = 0
+    for w, level, end in zip(saddles.tolist(), field.values[saddles].tolist(), ends):
+        first = {}  # root -> position of its least lower neighbor of w
+        for j in range(start, end):
+            x = lower_basin[j]
+            while parent[x] != x:
+                parent[x] = x = parent[parent[x]]
+            if x not in first:
+                first[x] = j
+        start = end
+        if len(first) == 2:
+            (r0, j0), (r1, j1) = first.items()
+            if r1 < r0:
+                r0, j0, r1 = r1, j1, r0
+            out_saddle.append(w)
+            out_survivor.append(mins[r0])
+            out_dying.append(mins[r1])
+            out_level.append(level)
+            out_gate.append(lower[j0])
+            parent[r1] = r0
             continue
-        parent[v] = r0
-        if not merges:
-            continue
-        least = {}  # root -> its least lower neighbor of v
-        for u in nbrs[v]:
-            if rank[u] < rv:
-                r = find(u)
-                if r not in least or rank[u] < rank[least[r]]:
-                    least[r] = u
-        roots = sorted(least, key=lambda r: rank[comp_min[r]])
-        survivor = comp_min[roots[0]]
-        level = vals[v]
-        gate = least[roots[0]]
-        joins = []  # (dying minimum, gate), eldest dying first
+        roots = sorted(first)
+        survivor = roots[0]
+        gate = first[survivor]
+        joins = []  # (dying root, gate position), eldest dying first
         for r in roots[1:]:
-            joins.append((comp_min[r], gate))
-            if rank[least[r]] < rank[gate]:
-                gate = least[r]
-        for dying, g in reversed(joins):
-            events.append(
-                MergeEvent(saddle=v, survivor_min=survivor, dying_min=dying, level=level)
-            )
-            gates.append(g)
-        for r in roots:
-            parent[r] = r0
-        comp_min[r0] = survivor
-    return MergeTree(events=tuple(events), minima=tuple(minima), gates=tuple(gates))
+            joins.append((r, gate))
+            gate = min(gate, first[r])
+            parent[r] = survivor
+        for r, g in reversed(joins):
+            out_saddle.append(w)
+            out_survivor.append(mins[survivor])
+            out_dying.append(mins[r])
+            out_level.append(level)
+            out_gate.append(lower[g])
+    return MergeTree(
+        saddles=tuple(out_saddle),
+        survivor_mins=tuple(out_survivor),
+        dying_mins=tuple(out_dying),
+        levels=tuple(out_level),
+        gates=tuple(out_gate),
+        minima=tuple(mins),
+    )
 
 
 @dataclass(frozen=True)
@@ -145,33 +240,32 @@ def pair_by_persistence(field: ScalarField) -> list:
     """One pair per merge event (elder rule) plus the essential pair.
 
     Each finite pair is ``(dying minimum, merge saddle)`` with
-    ``value = f(saddle) - f(minimum)``; pairs come sorted ascending by value,
-    essential pair last.
+    ``value = f(saddle) - f(minimum)``; pairs come sorted ascending by
+    ``(value, birth, minimum)``, essential pair last.
     """
     tree = build_merge_tree(field)
-    vals = field.values.tolist()
-    finite = []
-    for ev in tree.events:
-        birth = vals[ev.dying_min]
-        finite.append(
-            PersistencePair(
-                min_vertex=ev.dying_min,
-                saddle_vertex=ev.saddle,
-                birth=birth,
-                death=ev.level,
-                value=ev.level - birth,
-            )
+    dying = np.array(tree.dying_mins, dtype=np.intp)
+    births = field.values[dying]
+    deaths = np.array(tree.levels, dtype=np.float64)
+    value = deaths - births
+    by = np.lexsort((dying, births, value))
+    pairs = list(
+        map(
+            PersistencePair,
+            dying[by].tolist(),
+            np.array(tree.saddles, dtype=np.intp)[by].tolist(),
+            births[by].tolist(),
+            deaths[by].tolist(),
+            value[by].tolist(),
         )
-    essential = []
+    )
     if tree.minima:
-        rank = field.total_order()[1]
-        m0 = min(tree.minima, key=rank.__getitem__)
-        essential.append(
-            PersistencePair(
-                min_vertex=m0, saddle_vertex=None, birth=vals[m0], death=None, value=INF
-            )
+        m0 = tree.minima[0]
+        birth = float(field.values[m0])
+        pairs.append(
+            PersistencePair(min_vertex=m0, saddle_vertex=None, birth=birth, death=None, value=INF)
         )
-    return _sorted_pairs(finite, essential)
+    return pairs
 
 
 def pair_by_dynamics(field: ScalarField) -> list:

@@ -258,6 +258,68 @@ class TestHostileInput:
         expected = watershed(ScalarField(shape, values)).labels
         assert labels.tolist() == list(expected) and labels.max() == n - 1
 
+    @pytest.mark.parametrize(
+        "shape",
+        ["4611686018427387904", "99999999999999999999", "2147483648x2147483648"],
+    )
+    def test_oversized_shape_is_domain_error(self, shape, capsys, monkeypatch):
+        # numpy refuses these without allocating anything
+        for argv in (
+            ["gen", "--shape", shape, "--seed", "0"],
+            ["verify", "--shape", shape, "--trials", "1", "--no-oracle"],
+        ):
+            code, out, err = run_main(argv, "", capsys, monkeypatch)
+            assert code == 1 and out == ""
+            assert err.startswith("dynpers: error:") and err.count("\n") == 1
+
+    def test_out_of_memory_is_domain_error(self, capsys, monkeypatch):
+        def exhausted(spec):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "generate", exhausted)
+        code, out, err = run_main(["gen", "--shape", "8", "--seed", "0"], "", capsys, monkeypatch)
+        assert code == 1 and out == ""
+        assert err.startswith("dynpers: error:") and err.count("\n") == 1
+
+
+class TestSharedParser:
+    FIELD = "FIELD 2 4 5\n" + "".join(
+        f"{v}\n" for v in [3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 7, 9, 3, 2, 3, 8, 4]
+    )
+
+    def outputs(self, argvs, capsys, monkeypatch, fresh):
+        out = []
+        for argv in argvs:
+            if fresh:
+                cli._shared_parser.cache_clear()
+            out.append(run_main(argv, self.FIELD, capsys, monkeypatch))
+        return out
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            (["--invert", "pairs"], ["pairs"]),
+            (["--connectivity", "full", "pairs"], ["pairs"]),
+            (["pairs", "--method", "dynamics"], ["pairs"]),
+            (["pairs"], ["--connectivity", "full", "--invert", "curve"]),
+        ],
+    )
+    def test_back_to_back_calls_match_fresh_ones(self, first, second, capsys, monkeypatch):
+        fresh = self.outputs([first, second], capsys, monkeypatch, fresh=True)
+        cli._shared_parser.cache_clear()
+        shared = self.outputs([first, second], capsys, monkeypatch, fresh=False)
+        assert shared == fresh
+        assert vars(cli._shared_parser().parse_args(second)) == vars(
+            cli.build_parser().parse_args(second)
+        )
+
+    def test_parser_built_once(self, capsys, monkeypatch):
+        cli._shared_parser.cache_clear()
+        parser = cli._shared_parser()
+        run_main(["pairs"], self.FIELD, capsys, monkeypatch)
+        assert cli._shared_parser() is parser
+        assert cli.build_parser() is not parser
+
 
 def _golden_inputs():
     """Three small seeded fields: 1D with ties, 2D with plateaus, 3D full connectivity."""

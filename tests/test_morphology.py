@@ -27,6 +27,7 @@ from dynpers import (
     watershed,
     watershed_from_markers,
 )
+from fields import tie_heavy_fields
 
 SIGNAL = ScalarField((5,), [5, 1, 4, 0, 6])
 GRID33 = ScalarField((3, 3), [9, 8, 10, 2, 7, 3, 11, 12, 13])
@@ -377,26 +378,6 @@ class TestAgainstReference:
             assert repr(saliency(f).edge_values) == repr(reference_saliency(f))
 
 
-def tie_heavy_fields(count=320):
-    """Integer fields with 2-4 levels, {-0.0, 0.0, 1.0} fields, uniform random and
-    constant fields, on 1D, 2D axis, 2D full and 3D full grids."""
-    rng = np.random.default_rng(7919)
-    grids = [((23,), "axis"), ((7, 9), "axis"), ((7, 9), "full"), ((4, 3, 5), "full")]
-    for i in range(count):
-        shape, conn = grids[i % len(grids)]
-        n = int(np.prod(shape))
-        kind = (i // len(grids)) % 4
-        if kind == 0:
-            vals = rng.integers(0, 2 + (i // 16) % 3, size=n).astype(float)
-        elif kind == 1:
-            vals = rng.choice([-0.0, 0.0, 1.0], size=n)
-        elif kind == 2:
-            vals = rng.uniform(-1.0, 1.0, size=n)
-        else:
-            vals = np.full(n, rng.choice([-0.0, 0.0, 2.5]))
-        yield ScalarField(shape, vals, conn)
-
-
 def reference_local_minima(field):
     """Vertex loop over (value, index) tuple keys."""
     vals = field.values
@@ -467,16 +448,16 @@ def reference_watershed(field, markers):
 
 class TestOrderKeyedLayers:
     def test_local_minima_matches_tuple_loop(self):
-        for f in tie_heavy_fields():
+        for f in tie_heavy_fields(7919):
             assert local_minima(f) == reference_local_minima(f)
 
     def test_minimal_regions_match_plateau_search(self):
-        for f in tie_heavy_fields():
+        for f in tie_heavy_fields(7919):
             assert minimal_regions(f) == reference_minimal_regions(f)
 
     def test_watershed_matches_tuple_heap(self):
         rng = np.random.default_rng(11)
-        for f in tie_heavy_fields():
+        for f in tie_heavy_fields(7919):
             markers = minimal_regions(f)
             assert watershed_from_markers(f, markers).labels == reference_watershed(f, markers)
             # random markers: duplicates and non-minima included
@@ -545,7 +526,7 @@ class TestFilterAgainstReference:
         return cases
 
     def test_tie_heavy_fields(self):
-        assert self.check(tie_heavy_fields(), signed_zeros=True) > 1000
+        assert self.check(tie_heavy_fields(7919), signed_zeros=True) > 1000
 
     def test_level_fields(self):
         assert self.check(level_fields()) > 100
@@ -600,7 +581,7 @@ def signed_zero_fields(count=160):
 
 class TestFilterRule:
     def test_matches_the_stated_rule(self):
-        for f in itertools.chain(signed_zero_fields(), tie_heavy_fields(80), level_fields()):
+        for f in itertools.chain(signed_zero_fields(), tie_heavy_fields(7919, 80), level_fields()):
             for t in filter_probes(f):
                 assert filter_dynamics(f, t).values.tobytes() == rule_filter(f, t).tobytes()
 
@@ -662,7 +643,7 @@ class TestSimplificationTheorem:
 
 class TestMergeTreeGates:
     def test_gates_are_lower_neighbors_of_their_saddles(self):
-        for f in tie_heavy_fields():
+        for f in tie_heavy_fields(7919):
             tree = build_merge_tree(f)
             rank = f.total_order()[1]
             assert len(tree.gates) == len(tree.events)
@@ -671,7 +652,7 @@ class TestMergeTreeGates:
                 assert rank[gate] < rank[ev.saddle]
 
     def test_gates_match_the_absorption_replay(self):
-        for f in tie_heavy_fields():
+        for f in tie_heavy_fields(7919):
             labels = watershed(f)
             parent, _ = reference_absorption_tree(f, labels)
             tree = build_merge_tree(f)

@@ -7,9 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dynpers import (
+    MergeEvent,
     ScalarField,
     UsageError,
     build_merge_tree,
+    filter_dynamics,
+    filtration_order,
+    granulometric_curve,
     local_minima,
     pair_1d_algorithm1,
     pair_by_dynamics,
@@ -18,6 +22,7 @@ from dynpers import (
     pairs_to_json,
     persistence_diagram,
 )
+from fields import GRIDS_4D, tie_heavy_fields
 
 SIGNAL = ScalarField((5,), [5, 1, 4, 0, 6])
 GRID33 = ScalarField((3, 3), [9, 8, 10, 2, 7, 3, 11, 12, 13])
@@ -258,3 +263,134 @@ class TestMergeArity:
             tree = build_merge_tree(f)
             saddles = [ev.saddle for ev in tree.events]
             assert len(saddles) == len(set(saddles))
+
+
+def reference_merge_tree(field):
+    """The per-vertex union-find sweep of the sublevel filtration, as
+    ``(events, minima, gates)`` with each event a ``(saddle, survivor_min,
+    dying_min, level)`` tuple."""
+    vals = field.values.tolist()
+    rank = field.total_order()[1].tolist()
+    nbrs = field.neighbor_lists()
+
+    parent = list(range(field.n_vertices))
+    comp_min = [-1] * field.n_vertices  # root -> minimum vertex of the component
+    events = []
+    gates = []
+    minima = []
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for v in filtration_order(field):
+        rv = rank[v]
+        r0 = -1
+        merges = False
+        for u in nbrs[v]:
+            if rank[u] < rv:  # u is already in the sublevel set
+                r = find(u)
+                if r0 < 0:
+                    r0 = r
+                elif r != r0:
+                    merges = True
+        if r0 < 0:
+            comp_min[v] = v
+            minima.append(v)
+            continue
+        parent[v] = r0
+        if not merges:
+            continue
+        least = {}  # root -> its least lower neighbor of v
+        for u in nbrs[v]:
+            if rank[u] < rv:
+                r = find(u)
+                if r not in least or rank[u] < rank[least[r]]:
+                    least[r] = u
+        roots = sorted(least, key=lambda r: rank[comp_min[r]])
+        survivor = comp_min[roots[0]]
+        level = vals[v]
+        gate = least[roots[0]]
+        joins = []  # (dying minimum, gate), eldest dying first
+        for r in roots[1:]:
+            joins.append((comp_min[r], gate))
+            if rank[least[r]] < rank[gate]:
+                gate = least[r]
+        for dying, g in reversed(joins):
+            events.append((v, survivor, dying, level))
+            gates.append(g)
+        for r in roots:
+            parent[r] = r0
+        comp_min[r0] = survivor
+    return tuple(events), tuple(minima), tuple(gates)
+
+
+def rounding_fields(count=120):
+    """Mixtures of +-1e16, +-1 and 0, where pair values round, on 1D-4D grids."""
+    rng = np.random.default_rng(1009)
+    for i in range(count):
+        shape, conn = GRIDS_4D[i % len(GRIDS_4D)]
+        vals = rng.choice([-1e16, 1e16, -1.0, 1.0, 0.0, -0.0], size=int(np.prod(shape)))
+        yield ScalarField(shape, vals, conn)
+
+
+class TestMergeTreeAgainstSweep:
+    def check(self, field):
+        tree = build_merge_tree(field)
+        events, minima, gates = reference_merge_tree(field)
+        # repr keeps the sign of a zero level
+        assert repr(tree.events) == repr(tuple(MergeEvent(*ev) for ev in events))
+        assert tree.minima == minima
+        assert tree.gates == gates
+        assert all(type(m) is int for m in tree.minima + tree.gates)
+        finite = pair_by_persistence(field)[:-1]
+        assert finite == sorted(finite, key=lambda p: (p.value, p.birth, p.min_vertex))
+
+    def test_tie_heavy_fields_1d_to_4d(self):
+        for f in tie_heavy_fields(6007, 480, GRIDS_4D):
+            self.check(f)
+
+    def test_rounding_mixtures(self):
+        for f in rounding_fields():
+            self.check(f)
+
+    def test_dense_fields(self):
+        rng = np.random.default_rng(31)
+        for shape, conn in (((40, 40), "axis"), ((9, 8, 7), "full"), ((5, 4, 6, 3), "axis")):
+            self.check(ScalarField(shape, rng.uniform(size=int(np.prod(shape))), conn))
+
+    @settings(max_examples=150)
+    @given(
+        st.sampled_from([(17,), (5, 6), (3, 4, 3), (2, 3, 2, 3)]),
+        st.sampled_from(["axis", "full"]),
+        st.integers(1, 6),
+        st.data(),
+    )
+    def test_small_integer_fields(self, shape, conn, levels, data):
+        n = int(np.prod(shape))
+        vals = data.draw(st.lists(st.integers(0, levels), min_size=n, max_size=n))
+        self.check(ScalarField(shape, np.array(vals, dtype=float), conn))
+
+
+class TestPersistenceRouteBuildsNoNeighborLists:
+    def fresh(self):
+        rng = np.random.default_rng(5)
+        return ScalarField((9, 11), rng.integers(0, 4, 99).astype(float))
+
+    def test_persistence_consumers(self):
+        for run in (
+            build_merge_tree,
+            pair_by_persistence,
+            lambda f: filter_dynamics(f, 1.5),
+            lambda f: granulometric_curve(pair_by_persistence(f)),
+        ):
+            f = self.fresh()
+            run(f)
+            assert f._neighbor_cache is None
+
+    def test_dynamics_route_still_builds_them(self):
+        f = self.fresh()
+        pair_by_dynamics(f)
+        assert f._neighbor_cache is not None

@@ -14,6 +14,7 @@ from dynpers import (
     local_minima,
     pair_by_dynamics,
 )
+from fields import tie_heavy_fields
 
 SIGNAL = ScalarField((5,), [5, 1, 4, 0, 6])
 GRID33 = ScalarField((3, 3), [9, 8, 10, 2, 7, 3, 11, 12, 13])
@@ -53,21 +54,7 @@ def oracle_fields():
     """Tie-heavy values -- integers with 2-4 levels, {-0.0, 0.0, 1.0}, uniform
     random, constant -- on 1D, 2D axis, 2D full and 3D full grids, then
     uniform 2D axis and 3D full fields."""
-    rng = np.random.default_rng(4099)
-    grids = [((23,), "axis"), ((7, 9), "axis"), ((7, 9), "full"), ((4, 3, 5), "full")]
-    for i in range(320):
-        shape, conn = grids[i % len(grids)]
-        n = int(np.prod(shape))
-        kind = (i // len(grids)) % 4
-        if kind == 0:
-            vals = rng.integers(0, 2 + (i // 16) % 3, size=n).astype(float)
-        elif kind == 1:
-            vals = rng.choice([-0.0, 0.0, 1.0], size=n)
-        elif kind == 2:
-            vals = rng.uniform(-1.0, 1.0, size=n)
-        else:
-            vals = np.full(n, rng.choice([-0.0, 0.0, 2.5]))
-        yield ScalarField(shape, vals, conn)
+    yield from tie_heavy_fields(4099)
     for seed in range(3):
         rng = np.random.default_rng(seed)
         yield ScalarField((24, 24), rng.uniform(size=576))
