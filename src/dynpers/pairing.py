@@ -177,17 +177,6 @@ def build_merge_tree(field: ScalarField) -> MergeTree:
             if x not in first:
                 first[x] = j
         start = end
-        if len(first) == 2:
-            (r0, j0), (r1, j1) = first.items()
-            if r1 < r0:
-                r0, j0, r1 = r1, j1, r0
-            out_saddle.append(w)
-            out_survivor.append(mins[r0])
-            out_dying.append(mins[r1])
-            out_level.append(level)
-            out_gate.append(lower[j0])
-            parent[r1] = r0
-            continue
         roots = sorted(first)
         survivor = roots[0]
         gate = first[survivor]
@@ -244,28 +233,25 @@ def pair_by_persistence(field: ScalarField) -> list:
     ``(value, birth, minimum)``, essential pair last.
     """
     tree = build_merge_tree(field)
-    dying = np.array(tree.dying_mins, dtype=np.intp)
-    births = field.values[dying]
-    deaths = np.array(tree.levels, dtype=np.float64)
-    value = deaths - births
-    by = np.lexsort((dying, births, value))
-    pairs = list(
+    births = field.values[np.array(tree.dying_mins, dtype=np.intp)]
+    finite = list(
         map(
             PersistencePair,
-            dying[by].tolist(),
-            np.array(tree.saddles, dtype=np.intp)[by].tolist(),
-            births[by].tolist(),
-            deaths[by].tolist(),
-            value[by].tolist(),
+            tree.dying_mins,
+            tree.saddles,
+            births.tolist(),
+            tree.levels,
+            (np.array(tree.levels, dtype=np.float64) - births).tolist(),
         )
     )
+    essential = []
     if tree.minima:
         m0 = tree.minima[0]
         birth = float(field.values[m0])
-        pairs.append(
+        essential.append(
             PersistencePair(min_vertex=m0, saddle_vertex=None, birth=birth, death=None, value=INF)
         )
-    return pairs
+    return _sorted_pairs(finite, essential)
 
 
 def pair_by_dynamics(field: ScalarField) -> list:
