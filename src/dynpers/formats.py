@@ -185,7 +185,6 @@ def _write_pgm2d(field: ScalarField) -> str:
     height, width = field.shape
     out = io.StringIO()
     out.write(f"P2\n{width} {height}\n{maxval}\n")
-    rows = ints.reshape(field.shape)
-    for r in range(height):
-        out.write(" ".join(str(int(x)) for x in rows[r]) + "\n")
+    for row in ints.reshape(field.shape).tolist():
+        out.write(" ".join(map(str, row)) + "\n")
     return out.getvalue()

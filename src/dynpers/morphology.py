@@ -18,11 +18,19 @@ import heapq
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import UsageError
-from .grid import Connectivity, ScalarField, _descent_basins, filtration_order, offset_slices
+from .grid import (
+    Connectivity,
+    ScalarField,
+    _descent_basins,
+    filtration_order,
+    neighbor_table,
+    offset_slices,
+)
 from .pairing import build_merge_tree, pair_by_persistence
 
 
@@ -84,20 +92,30 @@ class WatershedLabels:
 
     def boundary_edges(self, field: ScalarField) -> set:
         """Edges (u, v), u < v, whose endpoints carry different labels."""
-        out = set()
-        for u, v in iter_edges(field):
-            if self.labels[u] != self.labels[v]:
-                out.add((u, v))
-        return out
+        heads, tails = _edge_arrays(field)
+        lab = np.array(self.labels)
+        cut = lab[heads] != lab[tails]
+        return set(zip(heads[cut].tolist(), tails[cut].tolist()))
+
+
+def _edge_arrays(field: ScalarField) -> tuple:
+    """``(heads, tails)``: every grid edge once, ``heads < tails``, ascending by
+    ``(head, tail)``.
+
+    The neighbor table's columns run in ascending linear offset and come in
+    ``±`` pairs, so its upper half holds every neighbor above the row's vertex
+    (an offset whose linear offset is 0 has no neighbor in the box).
+    """
+    table = neighbor_table(field.shape, field.connectivity)
+    upper = table[:, table.shape[1] // 2:]
+    heads, col = np.nonzero(upper >= 0)
+    return heads, upper[heads, col]
 
 
 def iter_edges(field: ScalarField):
     """All grid edges as (u, v) with u < v, in ascending order."""
-    lists = field.neighbor_lists()
-    for u in range(field.n_vertices):
-        for v in lists[u]:
-            if v > u:
-                yield (u, v)
+    heads, tails = _edge_arrays(field)
+    return zip(heads.tolist(), tails.tolist())
 
 
 def watershed_from_markers(field: ScalarField, markers) -> WatershedLabels:
@@ -106,11 +124,22 @@ def watershed_from_markers(field: ScalarField, markers) -> WatershedLabels:
     Markers are labeled with themselves, then vertices are popped from a
     priority queue in ascending total order of the frontier; each takes the
     label of its total-order-least already-labeled neighbor.  Deterministic.
+
+    When the markers are exactly the vertex-wise local minima (duplicates and
+    order aside), the flood is the steepest descent and no queue is needed.
+    Every other vertex then has a lower neighbor, so the queue pops vertices
+    in total order: each popped vertex's labeled neighbors are exactly its
+    lower ones, and it takes the label of its steepest-descent step.
     """
+    markers = [field.check_vertex(m) for m in markers]
+    minima, basin = _descent_basins(field)
+    if set(markers) == set(minima.tolist()):
+        return WatershedLabels(
+            labels=tuple(minima[basin].tolist()), shape=field.shape, connectivity=field.connectivity
+        )
     order = filtration_order(field)
     rank = field.total_order()[1].tolist()
     nbrs = field.neighbor_lists()
-    markers = [field.check_vertex(m) for m in markers]
     labels = [-1] * field.n_vertices
     queued = [False] * field.n_vertices
     heap = []  # ranks of the frontier; each vertex is queued once
@@ -221,67 +250,87 @@ def granulometric_curve(pairs) -> GranulometricCurve:
     return GranulometricCurve(breakpoints=tuple(breakpoints), counts=tuple(counts))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SaliencyMap:
     """Extinction value per grid edge: the largest threshold still separating it.
 
     Zero on edges interior to a basin; on a watershed boundary edge it is the
     pair value at which the two basins become one under progressive
     cancellation.
+
+    The edges are stored as columns, one entry per grid edge in ascending
+    ``(u, v)`` order, ``u < v``: ``heads`` holds ``u``, ``tails`` holds ``v``
+    and ``values`` the saliency.  :attr:`edge_values` builds the
+    ``((u, v), value)`` tuple on first use.
     """
 
-    edge_values: tuple  # ((u, v), value) sorted by edge
+    heads: np.ndarray
+    tails: np.ndarray
+    values: np.ndarray
     shape: tuple
     connectivity: Connectivity
+
+    @cached_property
+    def edge_values(self) -> tuple:
+        return tuple(zip(zip(self.heads.tolist(), self.tails.tolist()), self.values.tolist()))
 
     def as_dict(self) -> dict:
         return dict(self.edge_values)
 
     def edges_at_least(self, t: float) -> set:
-        return {e for e, val in self.edge_values if val >= t}
+        keep = self.values >= t
+        return set(zip(self.heads[keep].tolist(), self.tails[keep].tolist()))
 
     def to_json(self) -> dict:
-        return {f"{u},{v}": val for (u, v), val in self.edge_values}
+        edges = zip(self.heads.tolist(), self.tails.tolist(), self.values.tolist())
+        return {f"{u},{v}": val for u, v, val in edges}
 
 
-def _fuse_levels(parent, weight, basin_pairs) -> dict:
-    """Largest absorption-tree weight on the path between each pair's basins.
+def _fuse_levels(child, parent, weight, lo, hi, leaves: int) -> np.ndarray:
+    """Largest absorption-tree weight on the path between leaves ``lo[i]`` and ``hi[i]``.
 
-    Kruskal order: joining the tree edges ``(weight[m], m, parent[m])`` by
-    ascending weight, a pair's basins first share a set at the union over the
-    heaviest edge of their path.  Each set root keeps its unresolved pairs;
-    at a union the smaller list is resolved or moved into the larger one.
+    The tree's edges ``child[j] - parent[j]`` come in Kruskal order, by
+    ascending weight; nodes are ids below ``leaves``.  Its Kruskal
+    reconstruction tree adds one node per edge, above the two sets the edge
+    joins, so node ids grow towards the root, and the lowest common ancestor
+    of two leaves is the union that first joins them: the heaviest edge of
+    their path, and of equal weights the last in order.  One union-find pass
+    builds it; binary lifting answers every pair at once.
     """
-    pending = {}
-    for key in basin_pairs:
-        pending.setdefault(key[0], []).append(key)
-        pending.setdefault(key[1], []).append(key)
-    up = {}  # union-find links; roots have no entry
+    up = list(range(2 * leaves - 1))  # reconstruction-tree parent; roots point to themselves
+    top = up[:]  # union-find links over the same nodes
+    node_weight = []
+    node = leaves
+    for x, y, w in zip(child.tolist(), parent.tolist(), weight.tolist()):
+        while top[x] != x:
+            top[x] = x = top[top[x]]
+        while top[y] != y:
+            top[y] = y = top[top[y]]
+        up[x] = up[y] = top[x] = top[y] = node
+        node_weight.append(w)
+        node += 1
 
-    def find(x):
-        while x in up:
-            nxt = up.get(up[x], up[x])  # path halving
-            up[x] = nxt
-            x = nxt
-        return x
-
-    level = {}
-    for w, m, p in sorted((weight[m], m, parent[m]) for m in parent):
-        small, large = find(m), find(p)
-        if len(pending.get(small, ())) > len(pending.get(large, ())):
-            small, large = large, small
-        up[small] = large
-        moved = pending.pop(small, ())
-        if moved:
-            keep = pending.setdefault(large, [])
-            for key in moved:
-                if key in level:
-                    continue
-                if find(key[0]) == find(key[1]):
-                    level[key] = w
-                else:
-                    keep.append(key)
-    return level
+    # anc[j][x] is the 2**j-th ancestor of x, or its root when that is nearer.
+    step = np.array(up[:node], dtype=np.intp)
+    depth = (step != np.arange(node)).astype(np.intp)  # distance from x to step[x]
+    anc = [step]
+    while True:
+        nxt = step[step]
+        if np.array_equal(nxt, step):
+            break
+        depth += depth[step]
+        anc.append(nxt)
+        step = nxt
+    deeper = depth[lo] >= depth[hi]
+    a, b = np.where(deeper, lo, hi), np.where(deeper, hi, lo)
+    gap = depth[a] - depth[b]
+    for j, jump in enumerate(anc):
+        a = np.where((gap >> j) & 1, jump[a], a)
+    for jump in reversed(anc):
+        apart = jump[a] != jump[b]
+        a, b = np.where(apart, jump[a], a), np.where(apart, jump[b], b)
+    # Two distinct leaves never stand one above the other, so a != b here.
+    return np.array(node_weight)[anc[0][a] - leaves]
 
 
 def saliency(field: ScalarField) -> SaliencyMap:
@@ -293,25 +342,32 @@ def saliency(field: ScalarField) -> SaliencyMap:
     this absorption tree: the threshold at which progressive cancellation
     finally fuses their regions.
     """
-    lab = watershed(field).labels
-    vals = field.values.tolist()
-    tree = build_merge_tree(field)
-    # dying minimum -> the basin its water runs into, and its pair value
-    parent = {m: lab[gate] for m, gate in zip(tree.dying_mins, tree.gates)}
-    weight = {m: level - vals[m] for m, level in zip(tree.dying_mins, tree.levels)}
-
-    def basin_pair(u, v):
-        a, b = lab[u], lab[v]
-        return None if a == b else (a, b) if a < b else (b, a)
-
-    # Two passes over the edges, so no per-edge list is held beside the output.
-    fuse = _fuse_levels(parent, weight, {basin_pair(u, v) for u, v in iter_edges(field)} - {None})
-    edge_values = []
-    for u, v in iter_edges(field):
-        key = basin_pair(u, v)
-        edge_values.append(((u, v), 0.0 if key is None else fuse[key]))
+    lab = np.array(watershed(field).labels, dtype=np.intp)
+    heads, tails = _edge_arrays(field)
+    a, b = lab[heads], lab[tails]
+    cut = np.flatnonzero(a != b)
+    values = np.zeros(heads.size)
+    if cut.size:
+        n = field.n_vertices
+        # distinct basin pairs, as lo * n + hi with lo < hi
+        pairs, which = np.unique(
+            np.minimum(a[cut], b[cut]) * n + np.maximum(a[cut], b[cut]), return_inverse=True
+        )
+        tree = build_merge_tree(field)
+        dying = np.array(tree.dying_mins, dtype=np.intp)
+        weight = np.array(tree.levels, dtype=np.float64) - field.values[dying]
+        kruskal = np.lexsort((dying, weight))
+        dying = dying[kruskal]
+        # every vertex in play (dying minima, absorbing basins, pair ends) as a compact id
+        ends = (dying, lab[np.array(tree.gates, dtype=np.intp)[kruskal]], pairs // n, pairs % n)
+        nodes, compact = np.unique(np.concatenate(ends), return_inverse=True)
+        child, parent, lo, hi = np.split(compact, np.cumsum([e.size for e in ends[:3]]))
+        fuse = _fuse_levels(child, parent, weight[kruskal], lo, hi, nodes.size)
+        values[cut] = fuse[which]
+    for column in (heads, tails, values):
+        column.flags.writeable = False
     return SaliencyMap(
-        edge_values=tuple(edge_values), shape=field.shape, connectivity=field.connectivity
+        heads=heads, tails=tails, values=values, shape=field.shape, connectivity=field.connectivity
     )
 
 
@@ -326,11 +382,9 @@ def saliency_to_field(sal: SaliencyMap) -> ScalarField:
         raise UsageError("the interleaved-grid form needs axis connectivity; use the edge list")
     doubled = tuple(2 * e - 1 for e in sal.shape)
     out = np.zeros(doubled, dtype=np.float64)
-    for (u, v), val in sal.edge_values:
-        cu = np.unravel_index(u, sal.shape)
-        cv = np.unravel_index(v, sal.shape)
-        pos = tuple(a + b for a, b in zip(cu, cv))
-        out[pos] = val
+    head = np.unravel_index(sal.heads, sal.shape)
+    tail = np.unravel_index(sal.tails, sal.shape)
+    out[tuple(h + t for h, t in zip(head, tail))] = sal.values
     return ScalarField(doubled, out.reshape(-1), Connectivity.AXIS)
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import dynpers.cli as cli
-from dynpers import ScalarField, pair_by_dynamics, parse_field, watershed
+from dynpers import SaliencyMap, ScalarField, pair_by_dynamics, parse_field, watershed
 
 SIGNAL_CSV = "5\n1\n4\n0\n6\n"
 
@@ -120,6 +120,16 @@ class TestFieldCommands:
     def test_saliency_as_field(self, capsys, monkeypatch):
         code, out, _ = run_main(["saliency", "--as-field"], SIGNAL_CSV, capsys, monkeypatch)
         assert out.startswith("FIELD 1 9\n")
+
+    def test_saliency_never_builds_the_edge_tuple(self, capsys, monkeypatch):
+        def forced(sal):
+            raise AssertionError("the CLI built SaliencyMap.edge_values")
+
+        monkeypatch.setattr(SaliencyMap, "edge_values", property(forced))
+        field_nd = "FIELD 2 3 3\n9 8 10 2 7 3 11 12 13\n"
+        for extra in ([], ["--as-field"]):
+            code, out, _ = run_main(["saliency", *extra], field_nd, capsys, monkeypatch)
+            assert code == 0 and out
 
     def test_segment_bundle(self, capsys, monkeypatch):
         code, out, _ = run_main(["segment", "--t", "3.5"], SIGNAL_CSV, capsys, monkeypatch)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dynpers import morphology
 from dynpers import (
     Connectivity,
     ScalarField,
@@ -27,7 +28,7 @@ from dynpers import (
     watershed,
     watershed_from_markers,
 )
-from fields import tie_heavy_fields
+from fields import GRIDS_4D, tie_heavy_fields
 
 SIGNAL = ScalarField((5,), [5, 1, 4, 0, 6])
 GRID33 = ScalarField((3, 3), [9, 8, 10, 2, 7, 3, 11, 12, 13])
@@ -344,10 +345,26 @@ def reference_saliency(field):
         return max(run, seen[x])
 
     out = []
-    for u, v in iter_edges(field):
+    for u, v in reference_edges(field):
         a, b = labels.labels[u], labels.labels[v]
         out.append(((u, v), 0.0 if a == b else fuse_level(min(a, b), max(a, b))))
     return tuple(out)
+
+
+def reference_edges(field):
+    """Every edge (u, v), u < v, ascending, from a walk over the neighbor lists."""
+    lists = field.neighbor_lists()
+    return [(u, v) for u in range(field.n_vertices) for v in lists[u] if v > u]
+
+
+def nested_comb(n, seed):
+    """``v[2i] = -i``, ``v[2i+1] = 0.5 + 0.001 i`` plus jitter below 0.0005 on the
+    maxima: every basin nested in the next, so the absorption tree is one chain."""
+    vals = np.empty(n)
+    vals[0::2] = -np.arange((n + 1) // 2, dtype=float)
+    odds = np.arange(n // 2)
+    vals[1::2] = 0.5 + 0.001 * odds + np.random.default_rng(seed).uniform(0, 0.0005, odds.size)
+    return vals
 
 
 class TestAgainstReference:
@@ -376,6 +393,34 @@ class TestAgainstReference:
         for seed in range(4):
             f = random_field(seed, shape=(6, 5, 7), conn="full")
             assert repr(saliency(f).edge_values) == repr(reference_saliency(f))
+
+    def test_saliency_matches_chain_walk_on_deep_combs(self):
+        # A comb of k minima is a chain k - 1 unions deep.  In the second field
+        # the shallow ends of combs of 301 and 601 minima meet at a barrier of
+        # 1e3, and a lone minimum of -1e4 lies beyond a barrier of 2e3.  The
+        # pair across the first barrier is 300 levels apart and meets 301
+        # levels up, one below the root: binary lifting needs more than 8
+        # levels in both of its phases.
+        left, right = nested_comb(601, 1)[::-1], nested_comb(1201, 2)
+        back_to_back = np.concatenate([[-1e4, 2e3], left, [1e3], right])
+        for vals in (nested_comb(601, 3)[::-1], back_to_back):
+            f = ScalarField((vals.size,), vals)
+            assert len(local_minima(f)) > 2**8
+            assert repr(saliency(f).edge_values) == repr(reference_saliency(f))
+
+    def test_saliency_without_boundary_edges(self):
+        for f in (
+            ScalarField((1,), [0.0]),
+            ScalarField((1, 1), [2.0], "full"),
+            ScalarField((3, 4), np.full(12, -0.0), "full"),
+            ScalarField((2, 3, 2), np.full(12, 1.5)),
+            ScalarField((4,), [0, 1, 2, 3]),
+            ScalarField((3, 3), [4, 3, 2, 5, 1, 0.5, 6, 7, 0]),
+        ):
+            sal = saliency(f)
+            assert repr(sal.edge_values) == repr(reference_saliency(f))
+            assert not sal.values.any()
+        assert saliency_to_field(saliency(ScalarField((1,), [0.0]))).values.tolist() == [0.0]
 
 
 def reference_local_minima(field):
@@ -468,6 +513,63 @@ class TestOrderKeyedLayers:
     def test_empty_markers_rejected(self):
         with pytest.raises(UsageError, match="markers"):
             watershed_from_markers(GRID33, [])
+
+
+@pytest.fixture
+def floods(monkeypatch):
+    """Fields the watershed floods on the heap (only that path reads the filtration order)."""
+    seen = []
+
+    def spy(field):
+        seen.append(field)
+        return filtration_order(field)
+
+    monkeypatch.setattr(morphology, "filtration_order", spy)
+    return seen
+
+
+class TestWatershedFastPath:
+    def test_matches_tuple_heap_on_distinct_values(self, floods):
+        rng = np.random.default_rng(31)
+        for i in range(24):
+            shape, conn = GRIDS_4D[i % len(GRIDS_4D)]
+            f = ScalarField(shape, rng.uniform(-1.0, 1.0, int(np.prod(shape))), conn)
+            minima = local_minima(f)
+            # shuffled, with duplicates
+            markers = rng.permutation(minima).tolist() + minima[: int(rng.integers(0, 4))]
+            assert watershed_from_markers(f, markers).labels == reference_watershed(f, markers)
+        assert floods == []
+
+    def test_tie_heavy_fields_take_both_paths(self, floods):
+        flooded = []
+        for f in tie_heavy_fields(7919):
+            before = len(floods)
+            watershed(f)
+            flooded.append(len(floods) > before)
+        assert any(flooded) and not all(flooded)
+
+    def test_other_marker_sets_flood(self, floods):
+        f = random_field(4)
+        minima = local_minima(f)
+        for markers in (minima[1:], minima + [next(v for v in range(f.n_vertices) if v not in minima)]):
+            assert watershed_from_markers(f, markers).labels == reference_watershed(f, markers)
+        assert len(floods) == 2
+
+
+class TestHarnessContract:
+    def test_saliency_floods_once_through_the_module_global(self, monkeypatch):
+        # bench/spans.py reads saliency's watershed_from_markers child span
+        calls = []
+        original = morphology.watershed_from_markers
+
+        def counted(field, markers):
+            calls.append(field)
+            return original(field, markers)
+
+        monkeypatch.setattr(morphology, "watershed_from_markers", counted)
+        f = random_field(3)
+        saliency(f)
+        assert calls == [f]
 
 
 def reference_filter(field, t):
@@ -750,6 +852,27 @@ class TestSegmentPipeline:
 class TestEdges:
     def test_iter_edges_axis_1d(self):
         assert list(iter_edges(SIGNAL)) == [(0, 1), (1, 2), (2, 3), (3, 4)]
+
+    def test_iter_edges_match_the_neighbor_walk(self):
+        thin = (((1,), "axis"), ((1, 1), "full"), ((1, 5), "axis"), ((3, 1), "full"),
+                ((1, 1, 4), "full"), ((2, 1, 3), "full"))
+        for shape, conn in GRIDS_4D + thin:
+            f = ScalarField(shape, np.zeros(int(np.prod(shape))), conn)
+            assert list(iter_edges(f)) == reference_edges(f)
+
+    def test_boundary_edges_match_the_neighbor_walk(self):
+        for f in tie_heavy_fields(41, count=40):
+            labels = watershed(f)
+            lab = labels.labels
+            expected = {(u, v) for u, v in reference_edges(f) if lab[u] != lab[v]}
+            assert labels.boundary_edges(f) == expected
+
+    def test_edge_walks_build_no_neighbor_lists(self):
+        f = random_field(6)  # distinct values: the watershed takes the steepest descent
+        list(iter_edges(f))
+        watershed(f).boundary_edges(f)
+        saliency(f)
+        assert f._neighbor_cache is None
 
     def test_iter_edges_counts(self):
         f = ScalarField((3, 3), range(9))
