@@ -13,6 +13,9 @@ import functools
 import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii
+
+import numpy as np
 
 from .errors import DivergenceError, FormatError, UsageError
 from .grid import Connectivity, ScalarField
@@ -87,7 +90,90 @@ def _emit_text(text: str, path: str):
 
 
 def _emit_json(obj, path: str):
-    _emit_text(json.dumps(obj, indent=2, allow_nan=False) + "\n", path)
+    _emit_text(_json_text(obj) + "\n", path)
+
+
+def _json_text(obj) -> str:
+    """``json.dumps(obj, indent=2, allow_nan=False)``, byte for byte, written by columns.
+
+    ``json.dumps`` with an indent runs the pure-Python encoder, one generator
+    step per value.  Here a container's members are formatted together: all
+    floats as one column, one ``float.__repr__`` per distinct bit pattern
+    (so ``-0.0`` stays itself); all ints by ``int.__repr__``; lists of lists,
+    or of dicts, per position or key through one ``%`` template per length or
+    key order.  Anything else goes to ``json``.  A non-finite float hands the
+    whole tree to ``json`` again, so it raises ``json``'s own ``ValueError``.
+    """
+    try:
+        return _indented(obj, "")
+    except _NonFinite:
+        return json.dumps(obj, indent=2, allow_nan=False)
+
+
+class _NonFinite(Exception):
+    """A NaN or infinity somewhere in the tree."""
+
+
+def _indented(obj, pad: str) -> str:
+    kind = type(obj)
+    if kind is dict and obj and set(map(type, obj)) == {str}:
+        inner = pad + "  "
+        keys = map(encode_basestring_ascii, obj)
+        items = map(": ".join, zip(keys, _column(list(obj.values()), inner)))
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+    if kind is list and obj:
+        inner = pad + "  "
+        return "[\n" + inner + (",\n" + inner).join(_column(obj, inner)) + "\n" + pad + "]"
+    if isinstance(obj, (list, tuple, dict)):  # empty, subclassed or with non-str keys
+        return json.dumps(obj, indent=2, allow_nan=False).replace("\n", "\n" + pad)
+    if isinstance(obj, float) and not math.isfinite(obj):
+        raise _NonFinite
+    return json.dumps(obj, allow_nan=False)  # a scalar, on the C encoder
+
+
+def _column(items, pad: str) -> list:
+    """The JSON text of each member of the sequence ``items``, all at indent ``pad``."""
+    kinds = set(map(type, items))
+    if kinds == {float}:
+        values = np.array(items)
+        if not np.isfinite(values).all():
+            raise _NonFinite
+        bits, which = np.unique(values.view(np.int64), return_inverse=True)
+        texts = np.array([*map(float.__repr__, bits.view(np.float64).tolist())], dtype=object)
+        return texts[which].tolist()
+    if kinds == {int}:
+        return [*map(int.__repr__, items)]
+    if kinds == {list} or kinds == {dict}:
+        return _rows(items, pad)
+    return [_indented(x, pad) for x in items]
+
+
+def _rows(items: list, pad: str) -> list:
+    """Lists, or dicts: grouped by length or key order, and a group with more
+    rows than columns written by columns through one template."""
+    groups = {}
+    for i, row in enumerate(items):
+        groups.setdefault(len(row) if type(row) is list else tuple(row), []).append(i)
+    inner = pad + "  "
+    out = [None] * len(items)
+    for shape, where in groups.items():
+        rows = [items[i] for i in where]
+        if type(shape) is int:
+            fields, columns, brackets = ["%s"] * shape, zip(*rows), "[]"
+        elif all(type(k) is str for k in shape):
+            fields = [encode_basestring_ascii(k).replace("%", "%%") + ": %s" for k in shape]
+            columns, brackets = ([row[k] for row in rows] for k in shape), "{}"
+        else:
+            fields = None
+        if not fields or len(rows) <= len(fields):
+            texts = [_indented(row, pad) for row in rows]
+        else:
+            template = brackets[0] + "\n" + inner + (",\n" + inner).join(fields)
+            template += "\n" + pad + brackets[1]
+            texts = map(template.__mod__, zip(*(_column(c, inner) for c in columns)))
+        for i, text in zip(where, texts):
+            out[i] = text
+    return out
 
 
 def _emit_field(field: ScalarField, path: str, fmt: str, invert: bool):

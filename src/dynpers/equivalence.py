@@ -45,10 +45,12 @@ class GeneratorSpec:
         object.__setattr__(self, "shape", tuple(int(e) for e in self.shape))
         if not self.shape or any(e < 1 for e in self.shape):
             raise UsageError(f"bad generator shape {self.shape}")
+        if self.seed < 0:
+            raise UsageError(f"seed must be >= 0, got {self.seed}")
         if self.bumps < 1:
             raise UsageError("bump count must be >= 1")
         lo, hi = self.amplitude
-        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        if not (lo < hi and math.isfinite(hi - lo)):  # numpy draws from [lo, hi) by hi - lo
             raise UsageError(f"bad amplitude range {self.amplitude}")
         if self.kind == "poly_sine_1d" and len(self.shape) != 1:
             raise UsageError("poly_sine_1d generates 1D fields only")

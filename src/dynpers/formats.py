@@ -95,7 +95,7 @@ def _lines(values) -> str:
 def _read_csv1d(text: str, connectivity) -> ScalarField:
     lines = text.splitlines()
     try:
-        values = list(map(float, filter(str.strip, lines)))
+        values = list(map(float, filter(None, map(str.strip, lines))))
     except ValueError:
         for lineno, raw in enumerate(lines, start=1):
             line = raw.strip()

@@ -34,16 +34,17 @@ from .grid import (
 from .pairing import build_merge_tree, pair_by_persistence
 
 
-def minimal_regions(field: ScalarField) -> list:
-    """Representative vertices of the minimal plateaus, sorted by total order.
+def _plateaus(field: ScalarField) -> tuple:
+    """``(plateau, lower)``: per vertex, the least vertex of its plateau (its
+    connected set of equal values), and whether it has a strictly lower neighbor.
 
-    A plateau is a connected region of equal value; it is minimal when no
-    neighbor of the region has a strictly smaller value.  The representative
-    is the region's total-order-least vertex.
+    Hook and jump over the equal-valued edges: each round links every
+    plateau root to the least root across its edges, then pointer-jumps;
+    edges inside one plateau are dropped.
     """
     vals = field.values.reshape(field.shape)
     lin = np.arange(field.n_vertices).reshape(field.shape)
-    lower = np.zeros(field.shape, dtype=bool)  # has a strictly lower neighbor
+    lower = np.zeros(field.shape, dtype=bool)
     flat_a, flat_b = [], []  # equal-valued edges, each once
     for off, src, dst in offset_slices(field.shape, field.connectivity):
         lower[src] |= vals[dst] < vals[src]
@@ -51,29 +52,31 @@ def minimal_regions(field: ScalarField) -> list:
             eq = vals[src] == vals[dst]
             flat_a.append(lin[src][eq])
             flat_b.append(lin[dst][eq])
-    lower = lower.reshape(-1)
+    plateau = lin.reshape(-1).copy()
+    a, b = np.concatenate(flat_a), np.concatenate(flat_b)
+    while a.size:
+        np.minimum.at(plateau, np.maximum(a, b), np.minimum(a, b))
+        while True:
+            nxt = plateau[plateau]
+            if np.array_equal(nxt, plateau):
+                break
+            plateau = nxt
+        a, b = plateau[a], plateau[b]
+        keep = a != b
+        a, b = a[keep], b[keep]
+    return plateau, lower.reshape(-1)
 
-    # Union-find over the equal edges, always linking to the smaller root, so
-    # each plateau's root is its least index: its representative.
-    parent = {}
 
-    def find(x):
-        while x in parent:
-            nxt = parent.get(parent[x], parent[x])  # path halving
-            parent[x] = nxt
-            x = nxt
-        return x
+def minimal_regions(field: ScalarField) -> list:
+    """Representative vertices of the minimal plateaus, sorted by total order.
 
-    for a, b in zip(np.concatenate(flat_a).tolist(), np.concatenate(flat_b).tolist()):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-    linked = list(parent)  # every plateau vertex but the roots
-    members = np.array(linked, dtype=np.intp)
-    roots = np.array([find(x) for x in linked], dtype=np.intp)
-    is_rep = ~lower
-    is_rep[members] = False
-    is_rep[roots[lower[members]]] = False  # a plateau with a lower border is not minimal
+    A plateau is a connected region of equal value; it is minimal when no
+    neighbor of the region has a strictly smaller value.  The representative
+    is the region's total-order-least vertex.
+    """
+    plateau, lower = _plateaus(field)
+    is_rep = plateau == np.arange(field.n_vertices)
+    is_rep[plateau[lower]] = False  # a plateau with a lower border is not minimal
     order = field.total_order()[0]
     return order[is_rep[order]].tolist()
 
@@ -118,6 +121,35 @@ def iter_edges(field: ScalarField):
     return zip(heads.tolist(), tails.tolist())
 
 
+def _basin_redirects(field: ScalarField, minima, basin, markers):
+    """Per local minimum (by age), the age of the marker minimum whose label
+    its descent basin takes; ``None`` when the markers need the flood (see
+    :func:`watershed_from_markers` for the condition)."""
+    mins = minima.tolist()
+    marked = set(markers)
+    if not marked <= set(mins):
+        return None
+    redirect = np.arange(minima.size)
+    unmarked = np.array([age for age, m in enumerate(mins) if m not in marked], dtype=np.intp)
+    if unmarked.size:
+        plateau, lower = _plateaus(field)
+        exits = np.bincount(plateau[lower], minlength=field.n_vertices)
+        exit_vertex = np.zeros(field.n_vertices, dtype=np.intp)
+        exit_vertex[plateau[lower]] = np.flatnonzero(lower)
+        held = np.zeros(field.n_vertices, dtype=bool)
+        held[plateau[markers]] = True
+        where = plateau[minima[unmarked]]
+        if (exits[where] != 1).any() or held[where].any():
+            return None
+        redirect[unmarked] = basin[exit_vertex[where]]  # a lower minimum's age
+        while True:
+            nxt = redirect[redirect]
+            if np.array_equal(nxt, redirect):
+                return redirect
+            redirect = nxt
+    return redirect
+
+
 def watershed_from_markers(field: ScalarField, markers) -> WatershedLabels:
     """Flood the field from the given marker vertices.
 
@@ -125,17 +157,34 @@ def watershed_from_markers(field: ScalarField, markers) -> WatershedLabels:
     priority queue in ascending total order of the frontier; each takes the
     label of its total-order-least already-labeled neighbor.  Deterministic.
 
-    When the markers are exactly the vertex-wise local minima (duplicates and
-    order aside), the flood is the steepest descent and no queue is needed.
-    Every other vertex then has a lower neighbor, so the queue pops vertices
-    in total order: each popped vertex's labeled neighbors are exactly its
-    lower ones, and it takes the label of its steepest-descent step.
+    No queue is needed, and each vertex takes the label of its
+    steepest-descent basin, when every marker is a vertex-wise local minimum
+    and every other local minimum ``p`` lies on a plateau (a connected set
+    of equal values) that holds no marker and has exactly one vertex ``e``
+    with a strictly lower neighbor.  ``p``'s basin then takes the label of
+    ``e``'s basin, whose minimum is lower; the redirects are chased down to
+    markers.
+
+    Why: outside such plateaus every vertex but the markers has a neighbor
+    before it in the total order, so when it is the least unlabeled vertex
+    it is on the frontier; those vertices pop in total order, and each takes
+    the label of its steepest-descent step.  In such a plateau only ``e``
+    has a lower neighbor, so every other neighbor outside it is higher, and
+    while part of the plateau is unlabeled the frontier holds a vertex no
+    higher than the plateau, so none of those higher neighbors pops.  The
+    flood thus enters the plateau through ``e`` alone, after ``e``'s
+    steepest-descent step, and fills it with ``e``'s label.  A marker inside
+    the plateau would flood it too, in competition with ``e``; that is why
+    the plateau must hold none.
     """
     markers = [field.check_vertex(m) for m in markers]
     minima, basin = _descent_basins(field)
-    if set(markers) == set(minima.tolist()):
+    redirect = _basin_redirects(field, minima, basin, markers)
+    if redirect is not None:
         return WatershedLabels(
-            labels=tuple(minima[basin].tolist()), shape=field.shape, connectivity=field.connectivity
+            labels=tuple(minima[redirect[basin]].tolist()),
+            shape=field.shape,
+            connectivity=field.connectivity,
         )
     order = filtration_order(field)
     rank = field.total_order()[1].tolist()

@@ -1,10 +1,15 @@
+import contextlib
 import hashlib
+import io
 import json
+import math
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dynpers.cli as cli
 from dynpers import SaliencyMap, ScalarField, pair_by_dynamics, parse_field, watershed
@@ -249,6 +254,11 @@ class TestHostileInput:
             assert code == 1 and out == ""
             assert err.startswith("dynpers: error:") and err.count("\n") == 1
 
+    def test_csv_separator_control_characters_are_whitespace(self, capsys, monkeypatch):
+        # str.strip drops \x1c-\x1f, float() does not; field-nd's split drops them too
+        expected = run_main(["pairs"], SIGNAL_CSV, capsys, monkeypatch)
+        assert run_main(["pairs"], "5\x1f\n1\n\x1e4\n0\n6\n", capsys, monkeypatch) == expected
+
     def test_stdin_text_naming_a_file_is_parsed_as_text(self, tmp_path, capsys, monkeypatch):
         (tmp_path / "5").write_text(SIGNAL_CSV, encoding="ascii")
         monkeypatch.chdir(tmp_path)
@@ -282,6 +292,21 @@ class TestHostileInput:
             assert code == 1 and out == ""
             assert err.startswith("dynpers: error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["gen", "--shape", "5", "--seed", "-1"], "seed must be >= 0"),
+            (["verify", "--shape", "5", "--trials", "1", "--seed", "-5"], "seed must be >= 0"),
+            (["gen", "--shape", "5", "--seed", "1", "--amp=-1e308:1e308"], "bad amplitude range"),
+        ],
+    )
+    def test_negative_seed_and_overflowing_amplitude_are_domain_errors(
+        self, argv, message, capsys, monkeypatch
+    ):
+        code, out, err = run_main(argv, "", capsys, monkeypatch)
+        assert code == 1 and out == ""
+        assert err.startswith("dynpers: error:") and err.count("\n") == 1 and message in err
+
     def test_out_of_memory_is_domain_error(self, capsys, monkeypatch):
         def exhausted(spec):
             raise MemoryError
@@ -290,6 +315,77 @@ class TestHostileInput:
         code, out, err = run_main(["gen", "--shape", "8", "--seed", "0"], "", capsys, monkeypatch)
         assert code == 1 and out == ""
         assert err.startswith("dynpers: error:") and err.count("\n") == 1
+
+
+ASCII_TEXT = st.text(st.characters(max_codepoint=127), max_size=60)
+NUMBERS = st.one_of(
+    st.integers(-3, 9).map(str),
+    st.floats().map(repr),  # nan and inf included
+    st.sampled_from(["-0", "1e308", "-1.7e308", "5e-324", "1_0", "0x1", "65536", "1e400"]),
+)
+
+
+@st.composite
+def field_texts(draw):
+    """Field text in one of the three formats, often valid, sometimes with a
+    stretch of arbitrary ASCII spliced in."""
+    fmt = draw(st.sampled_from(["csv-1d", "field-nd", "pgm-2d"]))
+    shape = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3 if fmt == "field-nd" else 2))
+    n = math.prod(shape)
+    if fmt == "pgm-2d":
+        shape = shape + [1] if len(shape) == 1 else shape
+        maxval = draw(st.sampled_from([1, 9, 255, 65535]))
+        pixels = draw(st.lists(st.integers(0, maxval).map(str), min_size=n, max_size=n))
+        text = f"P2\n# comment\n{shape[1]} {shape[0]}\n{maxval}\n" + " ".join(pixels) + "\n"
+    else:
+        values = draw(st.lists(NUMBERS, min_size=n, max_size=n))
+        sep = draw(st.sampled_from(["\n", " ", "\t", "\r\n"]))
+        head = "FIELD " + " ".join(map(str, [len(shape)] + shape)) + "\n"
+        text = (head if fmt == "field-nd" else "") + sep.join(values) + "\n"
+    junk = draw(st.one_of(st.just(""), ASCII_TEXT))
+    at = draw(st.integers(0, len(text)))
+    return text[:at] + junk + text[at:]
+
+
+STDIN_TEXT = st.one_of(ASCII_TEXT, field_texts())
+
+# every subcommand that reads a field; True where the output is JSON
+HOSTILE_COMMANDS = {
+    "pairs": (["pairs"], True),
+    "dynamics": (["dynamics", "--min", "1"], True),
+    "diagram": (["diagram", "--essential-death", "max"], True),
+    "curve": (["curve"], True),
+    "filter": (["filter", "--t", "0.75"], False),
+    "watershed": (["watershed"], False),
+    "saliency": (["saliency"], True),
+    "saliency-field": (["saliency", "--as-field"], False),
+    "segment": (["segment", "--t", "0.75"], True),
+}
+
+
+class TestHostileStdin:
+    """Arbitrary ASCII on stdin: valid output and exit 0, or exit 1/2 with one
+    stderr line; never a traceback."""
+
+    @pytest.mark.parametrize("name", sorted(HOSTILE_COMMANDS))
+    @settings(max_examples=50)
+    @given(text=STDIN_TEXT, flags=st.sampled_from([[], ["--invert"], ["--connectivity", "full"]]))
+    def test_exits_cleanly(self, name, text, flags):
+        argv, emits_json = HOSTILE_COMMANDS[name]
+        out, err = io.StringIO(), io.StringIO()
+        stdin, sys.stdin = sys.stdin, io.StringIO(text)
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(flags + argv)
+        finally:
+            sys.stdin = stdin
+        out, err = out.getvalue(), err.getvalue()
+        if code == 0:
+            assert err == "" and out.endswith("\n")
+            json.loads(out) if emits_json else parse_field(out)
+        else:
+            assert code in (1, 2) and out == ""
+            assert err.startswith("dynpers: ") and err.count("\n") == 1, err
 
 
 class TestSharedParser:
@@ -332,7 +428,8 @@ class TestSharedParser:
 
 
 def _golden_inputs():
-    """Three small seeded fields: 1D with ties, 2D with plateaus, 3D full connectivity."""
+    """Three small seeded fields: 1D with ties, 2D with plateaus, 3D full connectivity;
+    and no input at all, for ``verify``."""
     rng = np.random.default_rng(2024)
     ties_1d = "".join(f"{v}\n" for v in rng.integers(0, 4, size=40).tolist())
     plateaus_2d = "FIELD 2 12 10\n" + "".join(
@@ -342,7 +439,7 @@ def _golden_inputs():
         f"{v!r}\n" for v in np.round(rng.uniform(-1.0, 1.0, size=120), 3).tolist()
     )
     return {"1d-ties": ([], ties_1d), "2d-plateaus": ([], plateaus_2d),
-            "3d-full": (["--connectivity", "full"], full_3d)}
+            "3d-full": (["--connectivity", "full"], full_3d), "no-input": ([], "")}
 
 
 GOLDEN_COMMANDS = {
@@ -352,6 +449,10 @@ GOLDEN_COMMANDS = {
     "segment": ["segment", "--t", "1.5"],
     "filter": ["filter", "--t", "1.5"],
     "watershed": ["watershed"],
+    "diagram": ["diagram"],
+    "diagram-max": ["diagram", "--essential-death", "max"],
+    "dynamics-18": ["dynamics", "--min", "18"],  # a minimum of 3d-full, value about 0.077
+    "verify": ["verify", "--shape", "6x5", "--trials", "2", "--seed", "3"],
 }
 
 # sha256 of stdout; these outputs must stay byte-identical.
@@ -374,6 +475,14 @@ GOLDEN_DIGESTS = {
     "segment/3d-full": "e2b1d4a7b3c54be60aaf6bcbcc618becd3017ac35230b6e8f0bc2ee2d85dd541",
     "filter/3d-full": "e7dffdd8d2189b7ae2d5adc19a369ad12147f3caf3204da1f9ee081ac2dd9226",
     "watershed/3d-full": "1ac1c761bad114453424593ef805ed486b37f358e4097a0a78d2769349ec6eb3",
+    "diagram/1d-ties": "5ffd05603f2bab31490b71e25a30f8eee033a67303f334040777e67b295708e1",
+    "diagram/2d-plateaus": "9334c90626e76a6e512527cacf8d146aba2396c329b2c8e695968c0517b87494",
+    "diagram/3d-full": "e988666dadd8368d55ff3e6006954dd1285712dd1ea800d3c84e64e86417d5da",
+    "diagram-max/1d-ties": "7142760401b40919172947de426318b651c3d24940d0d5fc36c881e91a2e68d5",
+    "diagram-max/2d-plateaus": "82cf6481bf47f0c5ff169876b3de1a8025fdc1b8c95f82554c5f621801294341",
+    "diagram-max/3d-full": "efcc2679b75dbb6fc52e851817c3c337371e4b8e19629d840f6534f6e6f041f9",
+    "dynamics-18/3d-full": "27b69b6c6aaaa4084afa01f933a08e87c22737c8b8fb736d8981d495c1a6ba10",
+    "verify/no-input": "bcf436b86ee071b0f1ef90f8ee19bdcd74048f4bf10657ccf6c6d3b93500df2e",
 }
 
 
@@ -385,3 +494,63 @@ class TestGoldenDigests:
         code, out, err = run_main(prefix + GOLDEN_COMMANDS[command], text, capsys, monkeypatch)
         assert code == 0 and err == ""
         assert hashlib.sha256(out.encode("ascii")).hexdigest() == GOLDEN_DIGESTS[name]
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-(2**80), max_value=2**80),  # past int64
+    FINITE,
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e16, 1e-7, 1.5, 1.7976931348623157e308]),
+    st.text(),  # escapes, non-ASCII, surrogates
+    st.sampled_from(["inf", 'a"b\\c', "%s%%", "caf\u00e9", "\n\t\x00"]),
+)
+
+
+def _json_trees(leaves):
+    return st.recursive(
+        leaves,
+        lambda kids: st.one_of(
+            st.lists(kids, max_size=6),
+            st.dictionaries(st.text(max_size=4), kids, max_size=5),
+            st.lists(FINITE, min_size=3, max_size=12),  # a float column
+            st.lists(st.one_of(FINITE, st.integers(), st.booleans()), max_size=8),
+            st.lists(  # records with two key sets, as pairs_to_json writes them
+                st.one_of(
+                    st.fixed_dictionaries({"min_index": kids, "birth": FINITE, "value": kids}),
+                    st.fixed_dictionaries({"a%": st.integers(), '"b"': kids}),
+                ),
+                max_size=8,
+            ),
+            st.lists(st.lists(FINITE, min_size=2, max_size=2), max_size=8),  # [b, d] rows
+            st.lists(st.lists(kids, max_size=2), max_size=6),  # rows of mixed widths
+        ),
+        max_leaves=40,
+    )
+
+
+JSON_TREES = _json_trees(SCALARS)
+
+
+class TestJsonText:
+    @settings(max_examples=200)
+    @given(JSON_TREES)
+    def test_matches_json_dumps(self, obj):
+        assert cli._json_text(obj) == json.dumps(obj, indent=2, allow_nan=False)
+
+    @settings(max_examples=100)
+    @given(JSON_TREES, st.sampled_from([math.nan, math.inf, -math.inf]), st.integers(0, 3))
+    def test_non_finite_raises_json_error(self, obj, bad, where):
+        tree = [[obj, bad], {"v": [1.0, bad]}, [[0.5, bad]] * 3, bad][where]
+        with pytest.raises(ValueError) as expected:
+            json.dumps(tree, indent=2, allow_nan=False)
+        with pytest.raises(ValueError) as got:
+            cli._json_text(tree)
+        assert str(got.value) == str(expected.value)
+
+    def test_signed_zeros_and_repeats_keep_their_bits(self):
+        column = [0.0, -0.0, 0.1, 0.1, -0.0, 5e-324, 1e16, 0.0] * 4
+        obj = {"c": column, "rows": [[b, -b] for b in column]}
+        assert cli._json_text(obj) == json.dumps(obj, indent=2, allow_nan=False)

@@ -555,6 +555,30 @@ class TestWatershedFastPath:
             assert watershed_from_markers(f, markers).labels == reference_watershed(f, markers)
         assert len(floods) == 2
 
+    def test_filtered_fields_match_tuple_heap(self):
+        cases = 0
+        for f in itertools.chain(tie_heavy_fields(7919, 160), uniform_fields()):
+            for t in filter_probes(f)[::3][:4]:
+                g = filter_dynamics(f, t)
+                markers = minimal_regions(g)
+                assert watershed(g).labels == reference_watershed(g, markers), (f.values, t)
+                cases += 1
+        assert cases > 300
+
+    def test_segment_on_distinct_values_never_floods(self, floods):
+        for f in uniform_fields():
+            for t in filter_probes(f)[::4]:
+                segment_pipeline(f, t)
+        assert floods == []
+
+    def test_marker_on_the_plateau_floods(self, floods):
+        # the plateau {2, 5, 7, 8, 10} holds marker 2 and the unmarked local
+        # minimum 7, and leaves through 10 alone: the flood still decides
+        f = ScalarField((4, 3), [2, 2, 1, 1, 2, 1, 2, 1, 1, 0, 1, 2])
+        labels = watershed_from_markers(f, [9, 3, 2]).labels
+        assert labels == (3, 2, 2, 3, 3, 2, 9, 2, 2, 9, 9, 2)
+        assert labels == reference_watershed(f, [9, 3, 2]) and len(floods) == 1
+
 
 class TestHarnessContract:
     def test_saliency_floods_once_through_the_module_global(self, monkeypatch):
