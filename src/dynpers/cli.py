@@ -20,21 +20,16 @@ import numpy as np
 from .errors import DivergenceError, FormatError, UsageError
 from .grid import Connectivity, ScalarField
 from .formats import parse_field, sniff_format, write_field
-from .pairing import (
-    pair_by_dynamics,
-    pair_by_persistence,
-    pairing_signature,
-    pairs_to_json,
-    persistence_diagram,
-)
+from .pairing import _dynamics_columns, _persistence_columns
 from .pathdyn import dynamics_oracle
 from .equivalence import GeneratorSpec, generate, sweep
 from .morphology import (
+    _curve_columns,
+    _curve_json,
+    _segment_columns,
     filter_dynamics,
-    granulometric_curve,
     saliency,
     saliency_to_field,
-    segment_pipeline,
     watershed,
 )
 
@@ -93,84 +88,156 @@ def _emit_json(obj, path: str):
     _emit_text(_json_text(obj) + "\n", path)
 
 
+class _Records:
+    """A JSON list of objects with one key order, given as equal-length
+    columns (numpy arrays) under ``keys``, followed by the plain JSON values
+    in ``rest``."""
+
+    def __init__(self, keys, columns, rest):
+        self.keys, self.columns, self.rest = keys, columns, rest
+
+
+class _EdgeMap:
+    """A JSON object ``{"u,v": value}``, one member per entry of the
+    ``heads``, ``tails`` and ``values`` columns."""
+
+    def __init__(self, heads, tails, values):
+        self.heads, self.tails, self.values = heads, tails, values
+
+
+def _plain(obj):
+    """The plain JSON value of a numpy column, :class:`_Records` or
+    :class:`_EdgeMap` (``json``'s ``default``)."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, _Records):
+        rows = zip(*(c.tolist() for c in obj.columns))
+        return [dict(zip(obj.keys, row)) for row in rows] + list(obj.rest)
+    if isinstance(obj, _EdgeMap):
+        edges = zip(obj.heads.tolist(), obj.tails.tolist(), obj.values.tolist())
+        return {f"{u},{v}": x for u, v, x in edges}
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def _json_text(obj) -> str:
-    """``json.dumps(obj, indent=2, allow_nan=False)``, byte for byte, written by columns.
+    """``json.dumps(obj, indent=2, allow_nan=False, default=_plain)``, byte for
+    byte, written by columns.
 
     ``json.dumps`` with an indent runs the pure-Python encoder, one generator
     step per value.  Here a container's members are formatted together: all
-    floats as one column, one ``float.__repr__`` per distinct bit pattern
-    (so ``-0.0`` stays itself); all ints by ``int.__repr__``; lists of lists,
-    or of dicts, per position or key through one ``%`` template per length or
-    key order.  Anything else goes to ``json``.  A non-finite float hands the
-    whole tree to ``json`` again, so it raises ``json``'s own ``ValueError``.
+    floats as one column; all ints by ``repr``; lists of lists per
+    position through one ``%`` template per length; numpy arrays as lists;
+    :class:`_Records` and :class:`_EdgeMap` through one ``%`` template per
+    member.  Each float column goes through ``repr`` once per distinct bit
+    pattern (so ``-0.0`` stays itself).  Anything else goes to ``json``.  A
+    non-finite float hands the whole tree to ``json`` again, so it raises
+    ``json``'s own ``ValueError``.
     """
     try:
         return _indented(obj, "")
     except _NonFinite:
-        return json.dumps(obj, indent=2, allow_nan=False)
+        return json.dumps(obj, indent=2, allow_nan=False, default=_plain)
 
 
 class _NonFinite(Exception):
     """A NaN or infinity somewhere in the tree."""
 
 
+def _bracketed(brackets: str, texts, pad: str) -> str:
+    inner = pad + "  "
+    return brackets[0] + "\n" + inner + (",\n" + inner).join(texts) + "\n" + pad + brackets[1]
+
+
 def _indented(obj, pad: str) -> str:
     kind = type(obj)
+    inner = pad + "  "
     if kind is dict and obj and set(map(type, obj)) == {str}:
-        inner = pad + "  "
         keys = map(encode_basestring_ascii, obj)
-        items = map(": ".join, zip(keys, _column(list(obj.values()), inner)))
-        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+        members = zip(keys, _column(list(obj.values()), inner))
+        return _bracketed("{}", map(": ".join, members), pad)
     if kind is list and obj:
-        inner = pad + "  "
-        return "[\n" + inner + (",\n" + inner).join(_column(obj, inner)) + "\n" + pad + "]"
-    if isinstance(obj, (list, tuple, dict)):  # empty, subclassed or with non-str keys
-        return json.dumps(obj, indent=2, allow_nan=False).replace("\n", "\n" + pad)
+        return _bracketed("[]", _column(obj, inner), pad)
+    if kind is np.ndarray and obj.size:
+        return _bracketed("[]", _array_texts(obj, inner), pad)
+    if kind is _Records and (obj.columns[0].size or obj.rest):
+        return _bracketed("[]", _record_texts(obj, inner), pad)
+    if kind is _EdgeMap and obj.heads.size:
+        members = zip(obj.heads.tolist(), obj.tails.tolist(), _float_texts(obj.values))
+        return _bracketed("{}", map('"%d,%d": %s'.__mod__, members), pad)
     if isinstance(obj, float) and not math.isfinite(obj):
         raise _NonFinite
+    if isinstance(obj, (list, tuple, dict, np.ndarray, _Records, _EdgeMap)):
+        # empty, subclassed or with non-str keys
+        text = json.dumps(obj, indent=2, allow_nan=False, default=_plain)
+        return text.replace("\n", "\n" + pad)
     return json.dumps(obj, allow_nan=False)  # a scalar, on the C encoder
+
+
+def _float_texts(values) -> list:
+    """``repr`` of each float, once per distinct bit pattern (so ``-0.0``
+    keeps its own text)."""
+    values = np.asarray(values, dtype=np.float64)
+    if not np.isfinite(values).all():
+        raise _NonFinite
+    # return_inverse keeps np.unique from importing numpy.ma (numpy 2.4)
+    bits, which = np.unique(values.view(np.int64), return_inverse=True)
+    texts = np.array([*map(repr, bits.view(np.float64).tolist())], dtype=object)
+    return texts[which].tolist()
 
 
 def _column(items, pad: str) -> list:
     """The JSON text of each member of the sequence ``items``, all at indent ``pad``."""
     kinds = set(map(type, items))
     if kinds == {float}:
-        values = np.array(items)
-        if not np.isfinite(values).all():
-            raise _NonFinite
-        bits, which = np.unique(values.view(np.int64), return_inverse=True)
-        texts = np.array([*map(float.__repr__, bits.view(np.float64).tolist())], dtype=object)
-        return texts[which].tolist()
+        return _float_texts(items)
     if kinds == {int}:
-        return [*map(int.__repr__, items)]
-    if kinds == {list} or kinds == {dict}:
+        return [*map(repr, items)]
+    if kinds == {list}:
         return _rows(items, pad)
     return [_indented(x, pad) for x in items]
 
 
+def _array_texts(column, pad: str) -> list:
+    if column.dtype.kind == "f":
+        return _float_texts(column)
+    if column.dtype.kind in "iu":
+        return [*map(repr, column.tolist())]
+    return _column(column.tolist(), pad)
+
+
+def _record_texts(records: _Records, pad: str) -> list:
+    """One text per object of ``records``: the rows through one template,
+    int columns formatted by it with ``%d``."""
+    inner = pad + "  "
+    ints = [c.dtype.kind in "iu" for c in records.columns]
+    columns = [
+        c.tolist() if is_int else _array_texts(c, inner)
+        for c, is_int in zip(records.columns, ints)
+    ]
+    fields = [
+        encode_basestring_ascii(k).replace("%", "%%") + (": %d" if is_int else ": %s")
+        for k, is_int in zip(records.keys, ints)
+    ]
+    template = "{\n" + inner + (",\n" + inner).join(fields) + "\n" + pad + "}"
+    rows = [*map(template.__mod__, zip(*columns))] if columns[0] else []
+    return rows + [_indented(x, pad) for x in records.rest]
+
+
 def _rows(items: list, pad: str) -> list:
-    """Lists, or dicts: grouped by length or key order, and a group with more
-    rows than columns written by columns through one template."""
+    """Lists grouped by length, and a group with more rows than positions
+    written by positions through one template."""
     groups = {}
     for i, row in enumerate(items):
-        groups.setdefault(len(row) if type(row) is list else tuple(row), []).append(i)
+        groups.setdefault(len(row), []).append(i)
     inner = pad + "  "
     out = [None] * len(items)
-    for shape, where in groups.items():
+    for width, where in groups.items():
         rows = [items[i] for i in where]
-        if type(shape) is int:
-            fields, columns, brackets = ["%s"] * shape, zip(*rows), "[]"
-        elif all(type(k) is str for k in shape):
-            fields = [encode_basestring_ascii(k).replace("%", "%%") + ": %s" for k in shape]
-            columns, brackets = ([row[k] for row in rows] for k in shape), "{}"
-        else:
-            fields = None
-        if not fields or len(rows) <= len(fields):
+        if len(rows) <= width or not width:
             texts = [_indented(row, pad) for row in rows]
         else:
-            template = brackets[0] + "\n" + inner + (",\n" + inner).join(fields)
-            template += "\n" + pad + brackets[1]
-            texts = map(template.__mod__, zip(*(_column(c, inner) for c in columns)))
+            template = "[\n" + inner + (",\n" + inner).join(["%s"] * width) + "\n" + pad + "]"
+            texts = map(template.__mod__, zip(*(_column(c, inner) for c in zip(*rows))))
         for i, text in zip(where, texts):
             out[i] = text
     return out
@@ -291,17 +358,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_pairs(args, conn, invert) -> int:
     field, _ = _read_input(args.input, args.format, conn, invert)
-    if args.method == "persistence":
-        pairs = pair_by_persistence(field)
-    elif args.method == "dynamics":
-        pairs = pair_by_dynamics(field)
+    if args.method == "dynamics":
+        pairs = _dynamics_columns(field)
     else:
-        per = pair_by_persistence(field)
-        dyn = pair_by_dynamics(field)
-        if pairing_signature(per) != pairing_signature(dyn):
+        pairs = _persistence_columns(field)
+        if args.method == "both" and pairs.signature() != _dynamics_columns(field).signature():
             raise DivergenceError("persistence and dynamics pairings disagree on this field")
-        pairs = per
-    _emit_json(pairs_to_json(pairs), args.output)
+    _emit_json(_Records(*pairs.json_records()), args.output)
     return EXIT_OK
 
 
@@ -319,17 +382,18 @@ def _cmd_dynamics(args, conn, invert) -> int:
 
 def _cmd_diagram(args, conn, invert) -> int:
     field, _ = _read_input(args.input, args.format, conn, invert)
-    pairs = pair_by_persistence(field)
-    sentinel = float(field.values.max()) if args.essential_death == "max" else None
-    points = persistence_diagram(pairs, essential_death=sentinel)
-    _emit_json([[b, d] for b, d in points], args.output)
+    pairs = _persistence_columns(field)
+    points = np.stack((pairs.births, pairs.deaths), axis=1).tolist()
+    if args.essential_death == "max" and pairs.essential is not None:
+        points.append([pairs.essential[1], float(field.values.max())])
+    _emit_json(points, args.output)
     return EXIT_OK
 
 
 def _cmd_curve(args, conn, invert) -> int:
     field, _ = _read_input(args.input, args.format, conn, invert)
-    curve = granulometric_curve(pair_by_persistence(field))
-    _emit_json(curve.to_json(), args.output)
+    pairs = _persistence_columns(field)
+    _emit_json(_curve_json(*_curve_columns(pairs.values, len(pairs))), args.output)
     return EXIT_OK
 
 
@@ -354,21 +418,20 @@ def _cmd_saliency(args, conn, invert) -> int:
     if args.as_field:
         _emit_text(write_field(saliency_to_field(sal), fmt="field-nd"), args.output)
     else:
-        _emit_json(sal.to_json(), args.output)
+        _emit_json(_EdgeMap(sal.heads, sal.tails, sal.values), args.output)
     return EXIT_OK
 
 
 def _cmd_segment(args, conn, invert) -> int:
     field, _ = _read_input(args.input, args.format, conn, invert)
-    filtered, labels, pairs, curve = segment_pipeline(field, args.t)
-    sign = -1.0 if invert else 1.0
+    filtered, labels, pairs, curve = _segment_columns(field, args.t)
     obj = {
         "threshold": args.t,
         "region_count": labels.region_count,
         "labels": list(labels.labels),
-        "filtered": (sign * filtered.values).tolist(),
-        "pairs": pairs_to_json(pairs),
-        "curve": curve.to_json(),
+        "filtered": -filtered.values if invert else filtered.values,
+        "pairs": _Records(*pairs.json_records()),
+        "curve": _curve_json(*curve),
     }
     _emit_json(obj, args.output)
     return EXIT_OK

@@ -186,5 +186,5 @@ def _write_pgm2d(field: ScalarField) -> str:
     out = io.StringIO()
     out.write(f"P2\n{width} {height}\n{maxval}\n")
     for row in ints.reshape(field.shape).tolist():
-        out.write(" ".join(map(str, row)) + "\n")
+        out.write(" ".join(map(repr, row)) + "\n")
     return out.getvalue()

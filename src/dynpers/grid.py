@@ -134,16 +134,20 @@ class ScalarField:
         return self._float_cache
 
 
-def _offsets(ndim: int, connectivity: Connectivity):
+def _offsets(shape, connectivity: Connectivity):
+    """Neighbor offsets of the grid, leaving out every offset that moves along
+    an axis of extent 1: no vertex has a neighbor there, and the full
+    neighborhood would otherwise grow threefold per such axis."""
+    ndim = len(shape)
     if connectivity is Connectivity.AXIS:
-        offs = []
-        for i in range(ndim):
-            for d in (-1, 1):
-                off = [0] * ndim
-                off[i] = d
-                offs.append(tuple(off))
-        return offs
-    return [off for off in itertools.product((-1, 0, 1), repeat=ndim) if any(off)]
+        return [
+            tuple(d if j == i else 0 for j in range(ndim))
+            for i in range(ndim)
+            if shape[i] > 1
+            for d in (-1, 1)
+        ]
+    steps = [(-1, 0, 1) if e > 1 else (0,) for e in shape]
+    return [off for off in itertools.product(*steps) if any(off)]
 
 
 def offset_slices(shape, connectivity) -> list:
@@ -153,7 +157,7 @@ def offset_slices(shape, connectivity) -> list:
     position, the neighbor at ``offset`` of each vertex in ``a[src]``.
     """
     out = []
-    for off in _offsets(len(shape), connectivity):
+    for off in _offsets(shape, connectivity):
         src = tuple(slice(max(0, -d), e - max(0, d)) for d, e in zip(off, shape))
         dst = tuple(slice(max(0, d), e - max(0, -d)) for d, e in zip(off, shape))
         out.append((off, src, dst))

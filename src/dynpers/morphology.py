@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -31,7 +31,7 @@ from .grid import (
     neighbor_table,
     offset_slices,
 )
-from .pairing import build_merge_tree, pair_by_persistence
+from .pairing import _persistence_columns, build_merge_tree
 
 
 def _plateaus(field: ScalarField) -> tuple:
@@ -45,7 +45,7 @@ def _plateaus(field: ScalarField) -> tuple:
     vals = field.values.reshape(field.shape)
     lin = np.arange(field.n_vertices).reshape(field.shape)
     lower = np.zeros(field.shape, dtype=bool)
-    flat_a, flat_b = [], []  # equal-valued edges, each once
+    flat_a, flat_b = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]  # each edge once
     for off, src, dst in offset_slices(field.shape, field.connectivity):
         lower[src] |= vals[dst] < vals[src]
         if off > (0,) * field.ndim:
@@ -106,8 +106,8 @@ def _edge_arrays(field: ScalarField) -> tuple:
     ``(head, tail)``.
 
     The neighbor table's columns run in ascending linear offset and come in
-    ``±`` pairs, so its upper half holds every neighbor above the row's vertex
-    (an offset whose linear offset is 0 has no neighbor in the box).
+    ``±`` pairs, none with linear offset 0 (no offset moves along an axis of
+    extent 1), so its upper half holds every neighbor above the row's vertex.
     """
     table = neighbor_table(field.shape, field.connectivity)
     upper = table[:, table.shape[1] // 2:]
@@ -287,16 +287,36 @@ class GranulometricCurve:
         return self.counts[bisect_left(self.breakpoints, t)]
 
     def to_json(self) -> dict:
-        return {"breakpoints": list(self.breakpoints), "counts": list(self.counts)}
+        return _curve_json(list(self.breakpoints), list(self.counts))
+
+
+def _curve_json(breakpoints, counts) -> dict:
+    """The curve's JSON object, from its two columns (lists or arrays)."""
+    return {"breakpoints": breakpoints, "counts": counts}
+
+
+def _curve_columns(values, total: int) -> tuple:
+    """``(breakpoints, counts)`` of the curve as arrays, from the finite pair
+    values in ascending order and the number of pairs, essential included.
+
+    A breakpoint is the first value of each run of equal values, so where
+    ``0.0`` and ``-0.0`` both occur the earlier one stands for the run.
+    """
+    first = np.ones(values.size, dtype=bool)
+    first[1:] = values[1:] != values[:-1]
+    breakpoints = values[first]
+    counts = np.concatenate(([total], total - np.searchsorted(values, breakpoints, side="right")))
+    return breakpoints, counts
+
+
+def _curve(breakpoints, counts) -> GranulometricCurve:
+    return GranulometricCurve(tuple(breakpoints.tolist()), tuple(counts.tolist()))
 
 
 def granulometric_curve(pairs) -> GranulometricCurve:
     """Curve from a pairing: total minima minus pairs cancelled below t."""
-    finite = sorted(p.value for p in pairs if not p.is_essential)
-    total = len(pairs)  # one pair per minimum, essential included
-    breakpoints = sorted(set(finite))
-    counts = [total] + [total - bisect_right(finite, b) for b in breakpoints]
-    return GranulometricCurve(breakpoints=tuple(breakpoints), counts=tuple(counts))
+    finite = np.array([p.value for p in pairs if not p.is_essential], dtype=np.float64)
+    return _curve(*_curve_columns(np.sort(finite, kind="stable"), len(pairs)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -437,6 +457,16 @@ def saliency_to_field(sal: SaliencyMap) -> ScalarField:
     return ScalarField(doubled, out.reshape(-1), Connectivity.AXIS)
 
 
+def _segment_columns(field: ScalarField, t: float) -> tuple:
+    """:func:`segment_pipeline` with the pairs as columns (a
+    ``pairing._PairColumns``) and the curve as its ``(breakpoints, counts)``
+    arrays."""
+    filtered = filter_dynamics(field, t)
+    labels = watershed(filtered)
+    pairs = _persistence_columns(filtered)
+    return filtered, labels, pairs, _curve_columns(pairs.values, len(pairs))
+
+
 def segment_pipeline(field: ScalarField, t: float):
     """Simplify at ``t``, then watershed, pair and count the filtered field.
 
@@ -444,8 +474,5 @@ def segment_pipeline(field: ScalarField, t: float):
     granulometric curve of the filtered field)``.  The region count equals the
     number of minima of the input whose dynamics is at least ``t``.
     """
-    filtered = filter_dynamics(field, t)
-    labels = watershed(filtered)
-    pairs = pair_by_persistence(filtered)
-    curve = granulometric_curve(pairs)
-    return filtered, labels, pairs, curve
+    filtered, labels, pairs, curve = _segment_columns(field, t)
+    return filtered, labels, pairs.to_list(), _curve(*curve)

@@ -5,7 +5,8 @@ separate code paths: :func:`pair_by_persistence` runs union-find over the
 growing sublevel sets and applies the elder rule at every merge, while
 :func:`pair_by_dynamics` tells the flooding story with explicit lakes and
 member relabeling.  Their agreement on every field is the central property
-this package exists to check, so neither calls the other.
+this package exists to check, so neither calls the other: both collect their
+finite pairs as columns and share only the pair order, :func:`_sorted_pairs`.
 """
 
 from __future__ import annotations
@@ -78,7 +79,7 @@ def _basin_graph(field: ScalarField, rank, basin) -> tuple:
     zero = (0,) * field.ndim
     basin = basin.reshape(field.shape)
     rank = rank.reshape(field.shape)
-    a, b, weight = [], [], []
+    a, b, weight = ([np.empty(0, dtype=np.intp)] for _ in range(3))  # a grid may have no edge
     for off, src, dst in offset_slices(field.shape, field.connectivity):
         if off > zero:
             bs, bd = basin[src], basin[dst]
@@ -220,9 +221,85 @@ class PersistencePair:
         return self.saddle_vertex is None
 
 
-def _sorted_pairs(finite, essential):
-    finite.sort(key=lambda p: (p.value, p.birth, p.min_vertex))
-    return finite + essential
+# The wire format of a finite pair, keys in order; the essential pair has only
+# ``min_index``, ``birth`` and ``value``, the string ``"inf"``.
+PAIR_KEYS = ("min_index", "birth", "saddle_index", "death", "value")
+
+
+def _essential_json(min_vertex: int, birth: float) -> dict:
+    return {"min_index": min_vertex, "birth": birth, "value": "inf"}
+
+
+@dataclass(frozen=True, eq=False)
+class _PairColumns:
+    """A pairing as columns, one entry per finite pair, sorted ascending by
+    ``(value, birth, minimum)``.
+
+    ``mins``, ``saddles``, ``births``, ``deaths`` and ``values`` hold the
+    fields of :class:`PersistencePair`; ``essential`` is the essential pair's
+    ``(minimum, birth)``, or ``None`` when there is none.  The columns are
+    read-only numpy arrays, and :meth:`to_list` builds the pair objects,
+    essential pair last.
+    """
+
+    mins: np.ndarray
+    saddles: np.ndarray
+    births: np.ndarray
+    deaths: np.ndarray
+    values: np.ndarray
+    essential: tuple | None
+
+    def __post_init__(self):
+        for column in (self.mins, self.saddles, self.births, self.deaths, self.values):
+            column.flags.writeable = False
+
+    def __len__(self) -> int:
+        return self.mins.size + (self.essential is not None)
+
+    def to_list(self) -> list:
+        columns = (self.mins, self.saddles, self.births, self.deaths, self.values)
+        pairs = list(map(PersistencePair, *(c.tolist() for c in columns)))
+        if self.essential is not None:
+            m0, birth = self.essential
+            pairs.append(PersistencePair(m0, None, birth, None, INF))
+        return pairs
+
+    def signature(self) -> set:
+        """:func:`pairing_signature` of :meth:`to_list`, built from the columns."""
+        rows = set(zip(self.mins.tolist(), self.saddles.tolist(), self.values.tolist()))
+        if self.essential is not None:
+            rows.add((self.essential[0], None, INF))
+        return rows
+
+    def json_records(self) -> tuple:
+        """``(keys, columns, rest)``: the finite pairs' JSON objects as columns
+        in :data:`PAIR_KEYS` order, then the essential pair's object, if any."""
+        columns = (self.mins, self.births, self.saddles, self.deaths, self.values)
+        rest = [] if self.essential is None else [_essential_json(*self.essential)]
+        return PAIR_KEYS, columns, rest
+
+
+def _sorted_pairs(mins, saddles, births, deaths, values, essential) -> _PairColumns:
+    """The one pair order both routes use: ascending by ``(value, birth, minimum)``."""
+    order = np.lexsort((mins, births, values))
+    return _PairColumns(
+        mins[order], saddles[order], births[order], deaths[order], values[order], essential
+    )
+
+
+def _persistence_columns(field: ScalarField) -> _PairColumns:
+    """The pairs of :func:`pair_by_persistence` as columns, built from the
+    merge tree's event columns without a per-pair object."""
+    tree = build_merge_tree(field)
+    mins = np.array(tree.dying_mins, dtype=np.intp)
+    births = field.values[mins]
+    deaths = np.array(tree.levels, dtype=np.float64)
+    essential = None
+    if tree.minima:
+        m0 = tree.minima[0]
+        essential = (m0, float(field.values[m0]))
+    saddles = np.array(tree.saddles, dtype=np.intp)
+    return _sorted_pairs(mins, saddles, births, deaths, deaths - births, essential)
 
 
 def pair_by_persistence(field: ScalarField) -> list:
@@ -232,40 +309,11 @@ def pair_by_persistence(field: ScalarField) -> list:
     ``value = f(saddle) - f(minimum)``; pairs come sorted ascending by
     ``(value, birth, minimum)``, essential pair last.
     """
-    tree = build_merge_tree(field)
-    births = field.values[np.array(tree.dying_mins, dtype=np.intp)]
-    finite = list(
-        map(
-            PersistencePair,
-            tree.dying_mins,
-            tree.saddles,
-            births.tolist(),
-            tree.levels,
-            (np.array(tree.levels, dtype=np.float64) - births).tolist(),
-        )
-    )
-    essential = []
-    if tree.minima:
-        m0 = tree.minima[0]
-        birth = float(field.values[m0])
-        essential.append(
-            PersistencePair(min_vertex=m0, saddle_vertex=None, birth=birth, death=None, value=INF)
-        )
-    return _sorted_pairs(finite, essential)
+    return _persistence_columns(field).to_list()
 
 
-def pair_by_dynamics(field: ScalarField) -> list:
-    """Flooding computation of the same pairs, written independently.
-
-    Raise the water level vertex by vertex; each local minimum starts a lake.
-    When lakes meet at a vertex of level ``lam``, every younger lake dies
-    there: its minimum is paired with the meeting vertex and receives
-    dynamics ``lam - f(min)``.  The absolute minimum's lake never dies and is
-    reported with dynamics ``inf``.
-
-    Lakes are explicit member lists merged smallest-into-largest; no
-    union-find forest is involved.
-    """
+def _dynamics_columns(field: ScalarField) -> _PairColumns:
+    """The pairs of :func:`pair_by_dynamics` as columns; the flooding itself."""
     vals = field.values.tolist()
     rank = field.total_order()[1].tolist()
     nbrs = field.neighbor_lists()
@@ -273,7 +321,7 @@ def pair_by_dynamics(field: ScalarField) -> list:
     lake_of = [-1] * field.n_vertices
     lake_min: list = []  # lake id -> its minimum vertex
     lake_members: list = []  # lake id -> member vertices
-    finite = []
+    mins, saddles, births, deaths, values = [], [], [], [], []  # finite pairs
 
     for v in filtration_order(field):
         lid = -1
@@ -299,15 +347,11 @@ def pair_by_dynamics(field: ScalarField) -> list:
             for lid in reversed(by_age[1:]):
                 m = lake_min[lid]
                 birth = vals[m]
-                finite.append(
-                    PersistencePair(
-                        min_vertex=m,
-                        saddle_vertex=v,
-                        birth=birth,
-                        death=level,
-                        value=level - birth,
-                    )
-                )
+                mins.append(m)
+                saddles.append(v)
+                births.append(birth)
+                deaths.append(level)
+                values.append(level - birth)
             keep = max(ids, key=lambda lid: (len(lake_members[lid]), -lid))
             for lid in ids:
                 if lid != keep:
@@ -320,17 +364,29 @@ def pair_by_dynamics(field: ScalarField) -> list:
         lake_of[v] = lid
         lake_members[lid].append(v)
 
-    essential = []
+    essential = None
     alive = set(lake_of)
     if alive:
-        lid = alive.pop()
-        m0 = lake_min[lid]
-        essential.append(
-            PersistencePair(
-                min_vertex=m0, saddle_vertex=None, birth=vals[m0], death=None, value=INF
-            )
-        )
-    return _sorted_pairs(finite, essential)
+        m0 = lake_min[alive.pop()]
+        essential = (m0, vals[m0])
+    ints = [np.array(c, dtype=np.intp) for c in (mins, saddles)]
+    floats = [np.array(c, dtype=np.float64) for c in (births, deaths, values)]
+    return _sorted_pairs(*ints, *floats, essential)
+
+
+def pair_by_dynamics(field: ScalarField) -> list:
+    """Flooding computation of the same pairs, written independently.
+
+    Raise the water level vertex by vertex; each local minimum starts a lake.
+    When lakes meet at a vertex of level ``lam``, every younger lake dies
+    there: its minimum is paired with the meeting vertex and receives
+    dynamics ``lam - f(min)``.  The absolute minimum's lake never dies and is
+    reported with dynamics ``inf``.
+
+    Lakes are explicit member lists merged smallest-into-largest; no
+    union-find forest is involved.
+    """
+    return _dynamics_columns(field).to_list()
 
 
 def pair_1d_algorithm1(field: ScalarField, xmax: int) -> int | None:
@@ -397,18 +453,14 @@ def persistence_diagram(pairs, essential_death: float | None = None) -> list:
 
 
 def pairs_to_json(pairs) -> list:
-    """JSON-ready list of pair objects in the documented wire format."""
-    out = []
-    for p in pairs:
-        obj = {"min_index": p.min_vertex, "birth": p.birth}
-        if p.is_essential:
-            obj["value"] = "inf"
-        else:
-            obj["saddle_index"] = p.saddle_vertex
-            obj["death"] = p.death
-            obj["value"] = p.value
-        out.append(obj)
-    return out
+    """JSON-ready list of pair objects in the documented wire format
+    (:data:`PAIR_KEYS`; the essential pair has ``"value": "inf"``)."""
+    return [
+        _essential_json(p.min_vertex, p.birth)
+        if p.is_essential
+        else dict(zip(PAIR_KEYS, (p.min_vertex, p.birth, p.saddle_vertex, p.death, p.value)))
+        for p in pairs
+    ]
 
 
 def pairing_signature(pairs) -> set:

@@ -1,8 +1,10 @@
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -12,7 +14,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dynpers.cli as cli
-from dynpers import SaliencyMap, ScalarField, pair_by_dynamics, parse_field, watershed
+import dynpers.morphology as morphology
+import dynpers.pairing as pairing
+from dynpers import (
+    GranulometricCurve,
+    SaliencyMap,
+    ScalarField,
+    UsageError,
+    filter_dynamics,
+    granulometric_curve,
+    pair_by_dynamics,
+    pair_by_persistence,
+    pairs_to_json,
+    parse_field,
+    saliency,
+    segment_pipeline,
+    watershed,
+)
+from dynpers.grid import Connectivity, offset_slices
+from dynpers.pairing import _dynamics_columns
 
 SIGNAL_CSV = "5\n1\n4\n0\n6\n"
 
@@ -57,10 +77,12 @@ class TestPairs:
             assert json.loads(out)[0]["value"] == 3.0
 
     def test_divergence_exits_3(self, capsys, monkeypatch):
-        def corrupted(field):
-            return [p for p in pair_by_dynamics(field) if p.is_essential]
+        def corrupted(field):  # the essential pair only
+            pairs = _dynamics_columns(field)
+            finite = ("mins", "saddles", "births", "deaths", "values")
+            return dataclasses.replace(pairs, **{k: getattr(pairs, k)[:0] for k in finite})
 
-        monkeypatch.setattr(cli, "pair_by_dynamics", corrupted)
+        monkeypatch.setattr(cli, "_dynamics_columns", corrupted)
         code, _, err = run_main(["pairs", "--method", "both"], SIGNAL_CSV, capsys, monkeypatch)
         assert code == 3
         assert "divergence" in err
@@ -427,9 +449,17 @@ class TestSharedParser:
         assert cli.build_parser() is not parser
 
 
+# A 5x6 field of -0.0, 0.0 and 1.0 whose finite pair values hold both 0.0
+# and -0.0, -0.0 first in pair order, so the curve's zero breakpoint is -0.0.
+SIGNED_ZERO = "FIELD 2 5 6\n" + "\n".join(
+    "1.0 1.0 -0.0 1.0 0.0 0.0 0.0 -0.0 1.0 -0.0 -0.0 0.0 0.0 0.0 -0.0 "
+    "-0.0 -0.0 -0.0 -0.0 1.0 -0.0 0.0 1.0 -0.0 -0.0 0.0 -0.0 1.0 -0.0 1.0".split()
+) + "\n"
+
+
 def _golden_inputs():
     """Three small seeded fields: 1D with ties, 2D with plateaus, 3D full connectivity;
-    and no input at all, for ``verify``."""
+    a signed-zero field; and no input at all, for ``verify``."""
     rng = np.random.default_rng(2024)
     ties_1d = "".join(f"{v}\n" for v in rng.integers(0, 4, size=40).tolist())
     plateaus_2d = "FIELD 2 12 10\n" + "".join(
@@ -439,7 +469,8 @@ def _golden_inputs():
         f"{v!r}\n" for v in np.round(rng.uniform(-1.0, 1.0, size=120), 3).tolist()
     )
     return {"1d-ties": ([], ties_1d), "2d-plateaus": ([], plateaus_2d),
-            "3d-full": (["--connectivity", "full"], full_3d), "no-input": ([], "")}
+            "3d-full": (["--connectivity", "full"], full_3d), "signed-zero": ([], SIGNED_ZERO),
+            "no-input": ([], "")}
 
 
 GOLDEN_COMMANDS = {
@@ -447,6 +478,8 @@ GOLDEN_COMMANDS = {
     "curve": ["curve"],
     "saliency": ["saliency"],
     "segment": ["segment", "--t", "1.5"],
+    "segment-invert": ["--invert", "segment", "--t", "1.5"],
+    "segment-half": ["segment", "--t", "0.5"],
     "filter": ["filter", "--t", "1.5"],
     "watershed": ["watershed"],
     "diagram": ["diagram"],
@@ -483,6 +516,16 @@ GOLDEN_DIGESTS = {
     "diagram-max/3d-full": "efcc2679b75dbb6fc52e851817c3c337371e4b8e19629d840f6534f6e6f041f9",
     "dynamics-18/3d-full": "27b69b6c6aaaa4084afa01f933a08e87c22737c8b8fb736d8981d495c1a6ba10",
     "verify/no-input": "bcf436b86ee071b0f1ef90f8ee19bdcd74048f4bf10657ccf6c6d3b93500df2e",
+    "pairs/signed-zero": "279c2fbbf749b5827b55d5c14d4d9df35e565f42aa136686fd516beb849c4145",
+    "curve/signed-zero": "18ba6f3b7836447f0b5d852ad7331b8265615b7972c1f367414932a9128efbb2",
+    "segment/signed-zero": "5b30a7c5694b981ae2b6c5e9f07fa4f1ad7c20c695034dfe7fd072f3e2701e94",
+    "segment-half/signed-zero": "57ad180c15d12c50037bf5c848fe5ed9d2478c4fa4b6c098ca5c325d9a982e3b",
+    "saliency/signed-zero": "de98634c407664ea8f822e76db1ad5bf319df6de3ddbcfbf76d4b24ba17afd26",
+    "filter/signed-zero": "e5a1e8605deccbca89b94115633bb387a5fe04db4a21a97ff319de16991a12dd",
+    "diagram/signed-zero": "a2e2faa561752ea028e66b9c788e74d87026c0160803b4b6606c809c2e415727",
+    "diagram-max/signed-zero": "3c718d4e29dedb59f88c27a6ffab6383ebd208538a170b1eae052ae207b3393d",
+    "segment-invert/2d-plateaus": "ddc1fbd97c1d53ce36cf4f125f886ec272357c87841d7e5182c2572e9632f501",
+    "segment-invert/signed-zero": "e07c0f73625d6800ae03cc03e47979d68e89af723de958d2e3bf647884dd5e13",
 }
 
 
@@ -554,3 +597,190 @@ class TestJsonText:
         column = [0.0, -0.0, 0.1, 0.1, -0.0, 5e-324, 1e16, 0.0] * 4
         obj = {"c": column, "rows": [[b, -b] for b in column]}
         assert cli._json_text(obj) == json.dumps(obj, indent=2, allow_nan=False)
+
+    def test_column_forms_match_json_dumps_of_their_plain_value(self):
+        rng = np.random.default_rng(7)
+        floats = rng.choice([0.0, -0.0, 0.1, 1e16, 5e-324, -2.5], size=9)
+        ints = rng.integers(0, 99, size=9)
+        forms = [
+            floats,
+            ints,
+            floats[:0],
+            cli._Records(("a%", '"b"'), (ints, floats), [{"a%": 1, "v": "inf"}]),
+            cli._Records(("k",), (ints[:0],), [{"k": -0.0}]),
+            cli._Records(("k",), (ints[:0],), []),
+            cli._EdgeMap(ints, ints + 1, floats),
+            cli._EdgeMap(ints[:0], ints[:0], floats[:0]),
+        ]
+        obj = {"forms": forms, "nested": [forms[3], {"e": forms[6], "x": 0.1}], "f": floats[1]}
+        plain = json.dumps(obj, indent=2, allow_nan=False, default=cli._plain)
+        assert cli._json_text(obj) == plain
+        for form in forms:
+            assert cli._json_text(form) == json.dumps(form, indent=2, default=cli._plain)
+        with pytest.raises(ValueError):
+            cli._json_text({"bad": cli._EdgeMap(ints[:1], ints[:1], np.array([math.inf]))})
+
+
+def _field_header(shape) -> str:
+    return f"FIELD {len(shape)} {' '.join(map(str, shape))}\n"
+
+
+def _cli_output(argv, text):
+    out, err = io.StringIO(), io.StringIO()
+    stdin, sys.stdin = sys.stdin, io.StringIO(text)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    finally:
+        sys.stdin = stdin
+    return code, out.getvalue(), err.getvalue()
+
+
+def _public_outputs(field, command, t, invert):
+    """What the CLI printed before it wrote by columns, from the public objects."""
+
+    def dumps(obj):
+        return json.dumps(obj, indent=2, allow_nan=False) + "\n"
+
+    if command == "pairs":
+        return dumps(pairs_to_json(pair_by_persistence(field)))
+    if command == "curve":
+        return dumps(granulometric_curve(pair_by_persistence(field)).to_json())
+    if command == "saliency":
+        return dumps(saliency(field).to_json())
+    if command == "segment":
+        filtered, labels, pairs, curve = segment_pipeline(field, t)
+        sign = -1.0 if invert else 1.0
+        return dumps({
+            "threshold": t,
+            "region_count": labels.region_count,
+            "labels": list(labels.labels),
+            "filtered": (sign * filtered.values).tolist(),
+            "pairs": pairs_to_json(pairs),
+            "curve": curve.to_json(),
+        })
+    values = filter_dynamics(field, t).values
+    values = -values if invert else values
+    return _field_header(field.shape) + "\n".join(map(repr, values.tolist())) + "\n"
+
+
+PROPERTY_GRIDS = [((11,), "axis"), ((4, 5), "axis"), ((4, 5), "full"), ((3, 2, 3), "axis"),
+                  ((3, 2, 3), "full")]
+
+
+@st.composite
+def property_fields(draw):
+    """Few-level integer fields, {-0.0, 0.0, 1.0} fields and +-1e16/+-1 mixtures."""
+    shape, conn = draw(st.sampled_from(PROPERTY_GRIDS))
+    n = math.prod(shape)
+    levels = draw(st.sampled_from([
+        [0.0, 1.0], [0.0, 1.0, 2.0], [0.0, 1.0, 2.0, 3.0], [-0.0, 0.0, 1.0],
+        [-1e16, 1e16, -1.0, 1.0, 0.0, -0.0],
+    ]))
+    values = draw(st.lists(st.sampled_from(levels), min_size=n, max_size=n))
+    return shape, conn, values
+
+
+class TestBytesAgainstPublicObjects:
+    """The CLI writes from columns; its bytes equal ``json.dumps`` of the public
+    objects (and, for ``filter``, the ``repr`` lines) that it used to print."""
+
+    COMMANDS = {
+        "pairs": ["pairs", "--method", "both"],
+        "curve": ["curve"],
+        "segment": ["segment", "--t", None],
+        "saliency": ["saliency"],
+        "filter": ["filter", "--t", None],
+    }
+
+    def check(self, shape, conn, values, command, t, invert):
+        field = ScalarField(shape, -np.array(values) if invert else values, conn)
+        try:
+            expected = _public_outputs(field, command, t, invert)
+        except UsageError as exc:  # a threshold equal to a pair value
+            assert command in ("segment", "filter") and "collides" in str(exc)
+            expected = None
+        argv = ["--connectivity", conn] + (["--invert"] if invert else [])
+        argv += [repr(t) if a is None else a for a in self.COMMANDS[command]]
+        text = _field_header(shape) + "".join(f"{v!r}\n" for v in values)
+        code, out, err = _cli_output(argv, text)
+        if expected is None:
+            assert code == 1 and out == ""
+        else:
+            assert (code, err) == (0, "") and out == expected
+
+    @settings(max_examples=150)
+    @given(property_fields(), st.sampled_from(sorted(COMMANDS)),
+           st.sampled_from([0.5, 1.5, 2.5, 1e16]), st.booleans())
+    def test_property(self, grid_field, command, t, invert):
+        self.check(*grid_field, command, t, invert)
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    @pytest.mark.parametrize("invert", [False, True])
+    def test_signed_zero_pair_values(self, command, invert):
+        field = parse_field(SIGNED_ZERO)
+        zeros = {repr(p.value) for p in pair_by_persistence(field) if p.value == 0}
+        assert zeros == {"0.0", "-0.0"}
+        self.check(field.shape, "axis", field.values.tolist(), command, 0.5, invert)
+
+
+class TestColumnarPaths:
+    FIELD = "FIELD 2 4 5\n" + "".join(
+        f"{v}\n" for v in [3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 7, 9, 3, 2, 3, 8, 4]
+    )
+
+    def test_persistence_route_builds_no_pair_object_or_public_json(self, capsys, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the CLI built a per-pair object or called a public writer")
+
+        monkeypatch.setattr(pairing, "PersistencePair", forbidden)
+        for module, name in ((pairing, "pairs_to_json"), (pairing, "pair_by_persistence"),
+                             (morphology, "granulometric_curve"), (morphology, "segment_pipeline")):
+            monkeypatch.setattr(module, name, forbidden)
+        for cls in (SaliencyMap, GranulometricCurve):
+            monkeypatch.setattr(cls, "to_json", forbidden)
+        for argv in (["pairs"], ["pairs", "--method", "persistence"],
+                     ["pairs", "--method", "dynamics"], ["curve"],
+                     ["segment", "--t", "1.5"], ["--invert", "segment", "--t", "1.5"],
+                     ["diagram", "--essential-death", "max"], ["saliency"]):
+            code, out, err = run_main(argv, self.FIELD, capsys, monkeypatch)
+            assert code == 0 and err == "" and out, argv
+
+    def test_one_vertex_field_with_fourteen_axes(self, capsys, monkeypatch):
+        # a cheap guard first: with offsets along extent-1 axes, the request
+        # below would build 3**14 - 1 of them and run out of memory
+        assert offset_slices((1,) * 8, Connectivity.FULL) == []
+        text = "FIELD 14 " + " ".join(["1"] * 14) + "\n0\n"
+        code, out, err = run_main(["--connectivity", "full", "pairs"], text, capsys, monkeypatch)
+        assert (code, err) == (0, "")
+        assert json.loads(out) == [{"min_index": 0, "birth": 0.0, "value": "inf"}]
+        for argv in (["watershed"], ["saliency"], ["segment", "--t", "1"], ["curve"]):
+            code, out, err = run_main(["--connectivity", "full"] + argv, text, capsys, monkeypatch)
+            assert (code, err) == (0, "") and out
+
+    def test_dense_commands_never_import_numpy_ma(self, tmp_path):
+        # np.unique without return_inverse imports numpy.ma on numpy 2.4, and
+        # that import raises the benchmark's peak RSS by about 5 MB
+        script = """
+import sys
+import numpy as np
+import dynpers.cli as cli
+rng = np.random.default_rng(0)
+for name, shape in (("d2", (20, 20)), ("d3", (6, 6, 6))):
+    values = rng.uniform(size=int(np.prod(shape))).tolist()
+    with open(name, "w") as fh:
+        fh.write("FIELD %d %s\\n" % (len(shape), " ".join(map(str, shape))))
+        fh.write("".join("%r\\n" % v for v in values))
+for argv in (["segment", "--t", "0.1234567"], ["saliency"], ["curve"], ["pairs", "--method", "both"],
+             ["filter", "--t", "0.1234567"], ["watershed"]):
+    assert cli.main(argv + ["d2", "--output", "out"]) == 0
+assert cli.main(["--connectivity", "full", "pairs", "--method", "both", "d3", "--output", "out"]) == 0
+print("numpy.ma" in sys.modules)
+"""
+        cache = tmp_path / "pycache"
+        cache.mkdir()
+        env = dict(os.environ, PYTHONPYCACHEPREFIX=str(cache))
+        proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"

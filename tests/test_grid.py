@@ -12,11 +12,14 @@ from dynpers import (
     filtration_order,
     local_minima,
     neighbors,
+    pair_by_dynamics,
     pair_by_persistence,
     precedes,
+    saliency,
     sort_vertices,
+    watershed,
 )
-from dynpers.grid import _build_neighbor_lists, offset_slices
+from dynpers.grid import _build_neighbor_lists, neighbor_table, offset_slices
 
 SIGNAL = ScalarField((5,), [5, 1, 4, 0, 6])
 
@@ -231,3 +234,30 @@ class TestLocalMinima:
             key=lambda v: float(vals[v]),
         )
         assert local_minima(f) == strict
+
+
+class TestExtentOneAxes:
+    def test_no_offset_moves_along_an_extent_one_axis(self):
+        for conn in Connectivity:
+            assert offset_slices((1,) * 8, conn) == []  # 3**8 - 1 offsets if they did
+            offsets = [off for off, _, _ in offset_slices((1, 5, 1, 4), conn)]
+            assert offsets and all(off[0] == off[2] == 0 for off in offsets)
+            squeezed = [off for off, _, _ in offset_slices((5, 4), conn)]
+            assert [(off[1], off[3]) for off in offsets] == squeezed
+
+    @pytest.mark.parametrize("shape", [(1, 5, 1, 4), (5, 1, 4), (1, 1, 5, 4, 1)])
+    def test_results_match_the_squeezed_grid(self, shape):
+        rng = np.random.default_rng(11)
+        for conn in ("axis", "full"):
+            assert np.array_equal(neighbor_table(shape, Connectivity(conn)),
+                                  neighbor_table((5, 4), Connectivity(conn)))
+            for _ in range(5):
+                values = rng.integers(0, 4, 20).astype(float)
+                f, g = ScalarField(shape, values, conn), ScalarField((5, 4), values, conn)
+                assert repr(pair_by_persistence(f)) == repr(pair_by_persistence(g))
+                assert repr(pair_by_dynamics(f)) == repr(pair_by_dynamics(g))
+                assert watershed(f).labels == watershed(g).labels
+                sf, sg = saliency(f), saliency(g)
+                for column in ("heads", "tails", "values"):
+                    assert np.array_equal(getattr(sf, column), getattr(sg, column))
+                assert f.neighbor_lists() == g.neighbor_lists()

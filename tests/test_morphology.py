@@ -1,3 +1,4 @@
+import bisect
 import heapq
 import itertools
 import math
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from dynpers import morphology
 from dynpers import (
     Connectivity,
+    PersistencePair,
     ScalarField,
     UsageError,
     build_merge_tree,
@@ -191,6 +193,20 @@ class TestGranulometricCurve:
         curve = granulometric_curve(pair_by_persistence(SIGNAL))
         with pytest.raises(UsageError):
             curve.value_at(0.0)
+
+    @settings(max_examples=200)
+    @given(st.lists(st.sampled_from([-0.0, 0.0, 1.0, 2.5, -1.0, 1e16, math.inf]), max_size=30))
+    def test_matches_python_sort_in_any_pair_order(self, values):
+        # the old curve: Python sort and set, then one bisect per breakpoint;
+        # of 0.0 and -0.0 the first in list order stands for both
+        pairs = [PersistencePair(i, None if v == math.inf else i + 1, 0.0, None, v)
+                 for i, v in enumerate(values)]
+        finite = sorted(v for v in values if v != math.inf)
+        breakpoints = sorted(set(finite))
+        counts = [len(values)] + [len(values) - bisect.bisect_right(finite, b) for b in breakpoints]
+        curve = granulometric_curve(pairs)
+        assert repr(curve.breakpoints) == repr(tuple(breakpoints))
+        assert curve.counts == tuple(counts) and all(type(c) is int for c in curve.counts)
 
 
 class TestSaliency:

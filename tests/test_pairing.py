@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from dynpers import (
     MergeEvent,
+    PersistencePair,
     ScalarField,
     UsageError,
     build_merge_tree,
@@ -22,6 +23,7 @@ from dynpers import (
     pairs_to_json,
     persistence_diagram,
 )
+from dynpers.pairing import _dynamics_columns, _persistence_columns
 from fields import GRIDS_4D, tie_heavy_fields
 
 SIGNAL = ScalarField((5,), [5, 1, 4, 0, 6])
@@ -327,6 +329,19 @@ def reference_merge_tree(field):
     return tuple(events), tuple(minima), tuple(gates)
 
 
+def reference_pairs(field, events, minima):
+    """The pair list of the reference sweep's events, built and sorted by
+    Python objects: finite pairs by ``(value, birth, minimum)``, essential last."""
+    vals = field.values.tolist()
+    finite = [
+        PersistencePair(dying, saddle, vals[dying], level, level - vals[dying])
+        for saddle, _, dying, level in events
+    ]
+    finite.sort(key=lambda p: (p.value, p.birth, p.min_vertex))
+    m0 = minima[0]
+    return finite + [PersistencePair(m0, None, vals[m0], None, math.inf)]
+
+
 def rounding_fields(count=120):
     """Mixtures of +-1e16, +-1 and 0, where pair values round, on 1D-4D grids."""
     rng = np.random.default_rng(1009)
@@ -345,8 +360,11 @@ class TestMergeTreeAgainstSweep:
         assert tree.minima == minima
         assert tree.gates == gates
         assert all(type(m) is int for m in tree.minima + tree.gates)
-        finite = pair_by_persistence(field)[:-1]
-        assert finite == sorted(finite, key=lambda p: (p.value, p.birth, p.min_vertex))
+        # both routes return the list the sweep's events gave before the
+        # pairs became columns; repr keeps the sign of zero values
+        expected = repr(reference_pairs(field, events, minima))
+        assert repr(pair_by_persistence(field)) == expected
+        assert repr(pair_by_dynamics(field)) == expected
 
     def test_tie_heavy_fields_1d_to_4d(self):
         for f in tie_heavy_fields(6007, 480, GRIDS_4D):
@@ -394,3 +412,41 @@ class TestPersistenceRouteBuildsNoNeighborLists:
         f = self.fresh()
         pair_by_dynamics(f)
         assert f._neighbor_cache is not None
+
+
+class TestPairColumns:
+    def fields(self):
+        yield from tie_heavy_fields(4099, 60, GRIDS_4D)
+        yield ScalarField((1,), [2.0])
+
+    def test_columns_are_the_pair_list(self):
+        for f in self.fields():
+            for cols, pairs in ((_persistence_columns(f), pair_by_persistence(f)),
+                                (_dynamics_columns(f), pair_by_dynamics(f))):
+                assert repr(cols.to_list()) == repr(pairs) and len(cols) == len(pairs)
+                assert cols.signature() == pairing_signature(pairs)
+                assert cols.mins.dtype == np.intp and cols.values.dtype == np.float64
+
+    def test_json_records_lay_out_pairs_to_json(self):
+        for f in self.fields():
+            cols = _persistence_columns(f)
+            keys, columns, rest = cols.json_records()
+            rows = [dict(zip(keys, row)) for row in zip(*(c.tolist() for c in columns))]
+            assert repr(rows + rest) == repr(pairs_to_json(cols.to_list()))
+
+    def test_routes_share_only_the_pair_order(self, monkeypatch):
+        import dynpers.pairing as pairing
+
+        f = ScalarField((6, 7), np.random.default_rng(3).integers(0, 4, 42).astype(float))
+        expected = repr(pair_by_persistence(f))
+
+        def forbidden(*args):
+            raise AssertionError("one pairing route called the other")
+
+        with monkeypatch.context() as m:
+            for name in ("build_merge_tree", "_persistence_columns", "pair_by_persistence"):
+                m.setattr(pairing, name, forbidden)
+            assert repr(pairing.pair_by_dynamics(f)) == expected
+        for name in ("_dynamics_columns", "pair_by_dynamics"):
+            monkeypatch.setattr(pairing, name, forbidden)
+        assert repr(pairing.pair_by_persistence(f)) == expected
