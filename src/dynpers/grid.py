@@ -55,7 +55,8 @@ class ScalarField:
     connectivity: Connectivity = Connectivity.AXIS
     _neighbor_cache: list = _dc_field(default=None, repr=False, compare=False)
     _order_cache: tuple = _dc_field(default=None, repr=False, compare=False)
-    _float_cache: tuple = _dc_field(default=None, repr=False, compare=False)
+    _key_cache: tuple = _dc_field(default=None, repr=False, compare=False)
+    _basin_cache: tuple = _dc_field(default=None, repr=False, compare=False)
 
     def __init__(self, shape, values, connectivity=Connectivity.AXIS):
         shape = tuple(int(e) for e in shape)
@@ -80,7 +81,8 @@ class ScalarField:
         object.__setattr__(self, "connectivity", _as_connectivity(connectivity))
         object.__setattr__(self, "_neighbor_cache", None)
         object.__setattr__(self, "_order_cache", None)
-        object.__setattr__(self, "_float_cache", None)
+        object.__setattr__(self, "_key_cache", None)
+        object.__setattr__(self, "_basin_cache", None)
 
     @property
     def n_vertices(self) -> int:
@@ -119,19 +121,41 @@ class ScalarField:
             object.__setattr__(self, "_order_cache", (order, rank))
         return self._order_cache
 
-    def float_values(self) -> tuple:
-        """``(floats, least)``: the values as a tuple of Python floats and the
-        total order's least vertex (cached, computed once per field).
+    def key_graph(self) -> tuple:
+        """``(keys, verts, rows)``: the grid graph renumbered by the strict
+        total order (cached, computed once per field).
 
-        Both come from ``values`` alone, never from :meth:`total_order`, so the
-        path oracle that reads them stays independent of the pairing routes.
-        ``argmin`` picks the least index among tied minima, which is the least
-        vertex of the ``(value, index)`` order.
+        ``keys[v]`` is the position of ``v`` in the ``(value, index)`` order
+        and ``verts`` is its inverse, both lists of Python ints.  ``rows[k]``
+        lists the keys of the neighbors of ``verts[k]``, one per
+        :func:`neighbor_table` column, -1 for a neighbor outside the box; each
+        row is built on first use.  The keys come from ``values`` alone, by a
+        lexsort and never from :meth:`total_order`, so the path oracle that
+        reads them stays independent of the pairing routes.
         """
-        if self._float_cache is None:
-            floats = tuple(self.values.tolist())
-            object.__setattr__(self, "_float_cache", (floats, int(self.values.argmin())))
-        return self._float_cache
+        if self._key_cache is None:
+            n = self.n_vertices
+            verts = np.lexsort((np.arange(n), self.values))
+            keys = np.empty(n + 1, dtype=np.intp)
+            keys[verts] = np.arange(n)
+            keys[n] = -1  # what the table's -1 entries read
+            table = keys[neighbor_table(self.shape, self.connectivity)[verts]]
+            graph = (keys[:n].tolist(), verts.tolist(), _Rows(table))
+            object.__setattr__(self, "_key_cache", graph)
+        return self._key_cache
+
+
+class _Rows(dict):
+    """Rows of an int table as lists, each built on first use: a walk from a
+    few vertices reads only a few of them."""
+
+    def __init__(self, table: np.ndarray):
+        super().__init__()
+        self.table = table
+
+    def __missing__(self, k: int) -> list:
+        row = self[k] = self.table[k].tolist()
+        return row
 
 
 def _offsets(shape, connectivity: Connectivity):
@@ -239,21 +263,26 @@ def local_minima(field: ScalarField) -> list:
 def _descent_basins(field: ScalarField) -> tuple:
     """``(minima, basin)``: the local minima sorted by the total order, and per
     vertex the age of the minimum its steepest descent ends at (its index in
-    ``minima``).
+    ``minima``).  Cached per field as read-only int arrays.
 
     Each vertex steps to its least-rank neighbor, or stays if none is lower;
     pointer jumping then follows every path to its end.
     """
-    order, rank = field.total_order()
-    down = _steepest_step(field)[order]  # per rank, the rank one step down
-    is_min = down == np.arange(down.size)
-    while True:
-        nxt = down[down]
-        if np.array_equal(nxt, down):
-            break
-        down = nxt
-    age = np.cumsum(is_min) - 1
-    return order[is_min], age[down][rank]
+    if field._basin_cache is None:
+        order, rank = field.total_order()
+        down = _steepest_step(field)[order]  # per rank, the rank one step down
+        is_min = down == np.arange(down.size)
+        while True:
+            nxt = down[down]
+            if np.array_equal(nxt, down):
+                break
+            down = nxt
+        age = np.cumsum(is_min) - 1
+        minima, basin = order[is_min], age[down][rank]
+        minima.flags.writeable = False
+        basin.flags.writeable = False
+        object.__setattr__(field, "_basin_cache", (minima, basin))
+    return field._basin_cache
 
 
 def filtration_order(field: ScalarField) -> list:

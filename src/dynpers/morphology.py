@@ -177,7 +177,11 @@ def watershed_from_markers(field: ScalarField, markers) -> WatershedLabels:
     the plateau would flood it too, in competition with ``e``; that is why
     the plateau must hold none.
     """
-    markers = [field.check_vertex(m) for m in markers]
+    markers = list(map(int, markers))
+    ids = np.array(markers)  # an object array if some marker overflows int64
+    bad = np.flatnonzero((ids < 0) | (ids >= field.n_vertices))
+    if bad.size:
+        field.check_vertex(markers[bad[0]])  # raises, naming the first bad marker
     minima, basin = _descent_basins(field)
     redirect = _basin_redirects(field, minima, basin, markers)
     if redirect is not None:

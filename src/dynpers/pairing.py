@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import UsageError
-from .grid import ScalarField, _descent_basins, filtration_order, neighbor_table, offset_slices
+from .grid import ScalarField, _descent_basins, neighbor_table, offset_slices
 
 INF = math.inf
 
@@ -312,46 +312,47 @@ def pair_by_persistence(field: ScalarField) -> list:
     return _persistence_columns(field).to_list()
 
 
+def _lower_rows(field: ScalarField) -> tuple:
+    """``(lower, ends)``: per rank ``r``, the ranks of the neighbors that
+    precede ``r`` in the total order, as the run ``lower[ends[r - 1]:ends[r]]``
+    of one flat list (``ends[-1]`` counting as 0)."""
+    order, rank = field.total_order()
+    n = field.n_vertices
+    # a -1 (outside the box) reads the appended n, which precedes no rank
+    nrank = np.append(rank, n)[neighbor_table(field.shape, field.connectivity)[order]]
+    is_lower = nrank < np.arange(n)[:, None]
+    return nrank[is_lower].tolist(), np.cumsum(np.count_nonzero(is_lower, axis=1)).tolist()
+
+
 def _dynamics_columns(field: ScalarField) -> _PairColumns:
-    """The pairs of :func:`pair_by_dynamics` as columns; the flooding itself."""
-    vals = field.values.tolist()
-    rank = field.total_order()[1].tolist()
-    nbrs = field.neighbor_lists()
+    """The pairs of :func:`pair_by_dynamics` as columns; the flooding itself.
 
+    The flood runs in rank space: lakes hold ranks, and a lake's minimum is
+    its least rank.  Ranks become vertex ids only in the columns.
+    """
+    lower, ends = _lower_rows(field)
     lake_of = [-1] * field.n_vertices
-    lake_min: list = []  # lake id -> its minimum vertex
-    lake_members: list = []  # lake id -> member vertices
-    mins, saddles, births, deaths, values = [], [], [], [], []  # finite pairs
+    lake_min: list = []  # lake id -> rank of its minimum
+    lake_members: list = []  # lake id -> member ranks
+    mins, saddles = [], []  # ranks of the finite pairs' minima and meeting vertices
 
-    for v in filtration_order(field):
-        lid = -1
-        meets = False
-        for u in nbrs[v]:
-            other = lake_of[u]
-            if other >= 0:
-                if lid < 0:
-                    lid = other
-                elif other != lid:
-                    meets = True
-        if lid < 0:
-            lake_of[v] = len(lake_min)
-            lake_min.append(v)
-            lake_members.append([v])
+    start = 0
+    for r, end in enumerate(ends):
+        if start == end:
+            lake_of[r] = len(lake_min)
+            lake_min.append(r)
+            lake_members.append([r])
             continue
-        if meets:
-            ids = {lake_of[u] for u in nbrs[v]}
-            ids.discard(-1)
-            level = vals[v]
-            by_age = sorted(ids, key=lambda lid: rank[lake_min[lid]])
+        ids = {lake_of[u] for u in lower[start:end]}
+        start = end
+        if len(ids) == 1:
+            lid = ids.pop()
+        else:
+            by_age = sorted(ids, key=lake_min.__getitem__)
             elder = by_age[0]
             for lid in reversed(by_age[1:]):
-                m = lake_min[lid]
-                birth = vals[m]
-                mins.append(m)
-                saddles.append(v)
-                births.append(birth)
-                deaths.append(level)
-                values.append(level - birth)
+                mins.append(lake_min[lid])
+                saddles.append(r)
             keep = max(ids, key=lambda lid: (len(lake_members[lid]), -lid))
             for lid in ids:
                 if lid != keep:
@@ -361,17 +362,17 @@ def _dynamics_columns(field: ScalarField) -> _PairColumns:
                     lake_members[lid] = []
             lake_min[keep] = lake_min[elder]
             lid = keep
-        lake_of[v] = lid
-        lake_members[lid].append(v)
+        lake_of[r] = lid
+        lake_members[lid].append(r)
 
-    essential = None
-    alive = set(lake_of)
-    if alive:
-        m0 = lake_min[alive.pop()]
-        essential = (m0, vals[m0])
-    ints = [np.array(c, dtype=np.intp) for c in (mins, saddles)]
-    floats = [np.array(c, dtype=np.float64) for c in (births, deaths, values)]
-    return _sorted_pairs(*ints, *floats, essential)
+    order = field.total_order()[0]
+    m0 = int(order[lake_min[lake_of[-1]]])  # the grid is connected: one lake survives
+    mins = order[np.array(mins, dtype=np.intp)]
+    saddles = order[np.array(saddles, dtype=np.intp)]
+    births = field.values[mins]
+    deaths = field.values[saddles]
+    essential = (m0, field.values.item(m0))
+    return _sorted_pairs(mins, saddles, births, deaths, deaths - births, essential)
 
 
 def pair_by_dynamics(field: ScalarField) -> list:

@@ -775,6 +775,9 @@ for argv in (["segment", "--t", "0.1234567"], ["saliency"], ["curve"], ["pairs",
              ["filter", "--t", "0.1234567"], ["watershed"]):
     assert cli.main(argv + ["d2", "--output", "out"]) == 0
 assert cli.main(["--connectivity", "full", "pairs", "--method", "both", "d3", "--output", "out"]) == 0
+for conn, shape in (("axis", "20x20"), ("full", "6x6x6")):  # verify with the path oracle
+    assert cli.main(["--connectivity", conn, "verify", "--trials", "1", "--shape", shape,
+                     "--output", "out"]) == 0
 print("numpy.ma" in sys.modules)
 """
         cache = tmp_path / "pycache"

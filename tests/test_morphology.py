@@ -157,10 +157,38 @@ class TestWatershed:
         assert watershed_from_markers(SIGNAL, iter([1, 3])).labels == (1, 1, 3, 3, 3)
         assert watershed_from_markers(SIGNAL, (m for m in [1, 3])).labels == (1, 1, 3, 3, 3)
 
+    def test_markers_as_numpy_ints(self):
+        assert watershed_from_markers(SIGNAL, np.array([1, 3])).labels == (1, 1, 3, 3, 3)
+        assert watershed_from_markers(SIGNAL, [np.int32(1), np.int64(3)]).labels == (1, 1, 3, 3, 3)
+
+    def test_bad_markers_named_as_check_vertex_names_them(self):
+        for markers, first_bad in (([1, 5, 3], 5), ([3, -1, 9], -1), ([1, 10**30, -2], 10**30)):
+            with pytest.raises(UsageError) as caught:
+                watershed_from_markers(SIGNAL, markers)
+            with pytest.raises(UsageError) as expected:
+                SIGNAL.check_vertex(first_bad)
+            assert str(caught.value) == str(expected.value)
+
     def test_filled_plateau_drains_to_survivor(self):
         # after cancellation the raised plateau must flow through its saddle
         filtered = filter_dynamics(SIGNAL, 3.5)
         assert watershed(filtered).labels == (3, 3, 3, 3, 3)
+
+
+class TestDescentBasinCache:
+    def test_computed_once_per_field_and_read_only(self, monkeypatch):
+        from dynpers import grid
+
+        calls = []
+        step = grid._steepest_step
+        monkeypatch.setattr(grid, "_steepest_step", lambda f: calls.append(f) or step(f))
+        for run in (lambda f: filter_dynamics(f, 0.05), saliency):
+            f = random_field(9)
+            run(f)
+            assert calls.count(f) == 1
+        cached = grid._descent_basins(f)
+        assert grid._descent_basins(f) is cached and calls.count(f) == 1
+        assert not any(a.flags.writeable for a in cached)
 
 
 class TestGranulometricCurve:

@@ -1,5 +1,7 @@
+import io
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -23,7 +25,9 @@ from dynpers import (
     pairs_to_json,
     persistence_diagram,
 )
-from dynpers.pairing import _dynamics_columns, _persistence_columns
+from dynpers import cli
+from dynpers.equivalence import GeneratorSpec, generate
+from dynpers.pairing import _dynamics_columns, _persistence_columns, _sorted_pairs
 from fields import GRIDS_4D, tie_heavy_fields
 
 SIGNAL = ScalarField((5,), [5, 1, 4, 0, 6])
@@ -408,10 +412,115 @@ class TestPersistenceRouteBuildsNoNeighborLists:
             run(f)
             assert f._neighbor_cache is None
 
-    def test_dynamics_route_still_builds_them(self):
+    def test_dynamics_route_and_verify_build_none_either(self, capsys, monkeypatch):
+        # the flood walks lower-neighbor rows and the oracle its key graph
         f = self.fresh()
         pair_by_dynamics(f)
-        assert f._neighbor_cache is not None
+        assert f._neighbor_cache is None
+
+        fields = []
+        init = ScalarField.__init__
+
+        def spy(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            fields.append(self)
+
+        monkeypatch.setattr(ScalarField, "__init__", spy)
+        text = "FIELD 2 9 11\n" + "".join(f"{v!r}\n" for v in f.values.tolist())
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        assert cli.main(["pairs", "--method", "both"]) == 0
+        for prefix, shape in ((["--connectivity", "axis"], "9x11"),
+                              (["--connectivity", "full"], "5x4x6")):
+            assert cli.main(prefix + ["verify", "--trials", "2", "--shape", shape]) == 0
+        capsys.readouterr()
+        assert len(fields) == 5
+        assert all(g._neighbor_cache is None for g in fields)
+        assert sum(g._key_cache is not None for g in fields) == 4  # the oracle ran
+
+
+def reference_dynamics_columns(field):
+    """The neighbor-list flood that walked vertices in filtration order, kept
+    verbatim as the reference for the rank-space flood."""
+    vals = field.values.tolist()
+    rank = field.total_order()[1].tolist()
+    nbrs = field.neighbor_lists()
+
+    lake_of = [-1] * field.n_vertices
+    lake_min: list = []  # lake id -> its minimum vertex
+    lake_members: list = []  # lake id -> member vertices
+    mins, saddles, births, deaths, values = [], [], [], [], []  # finite pairs
+
+    for v in filtration_order(field):
+        lid = -1
+        meets = False
+        for u in nbrs[v]:
+            other = lake_of[u]
+            if other >= 0:
+                if lid < 0:
+                    lid = other
+                elif other != lid:
+                    meets = True
+        if lid < 0:
+            lake_of[v] = len(lake_min)
+            lake_min.append(v)
+            lake_members.append([v])
+            continue
+        if meets:
+            ids = {lake_of[u] for u in nbrs[v]}
+            ids.discard(-1)
+            level = vals[v]
+            by_age = sorted(ids, key=lambda lid: rank[lake_min[lid]])
+            elder = by_age[0]
+            for lid in reversed(by_age[1:]):
+                m = lake_min[lid]
+                birth = vals[m]
+                mins.append(m)
+                saddles.append(v)
+                births.append(birth)
+                deaths.append(level)
+                values.append(level - birth)
+            keep = max(ids, key=lambda lid: (len(lake_members[lid]), -lid))
+            for lid in ids:
+                if lid != keep:
+                    for u in lake_members[lid]:
+                        lake_of[u] = keep
+                    lake_members[keep].extend(lake_members[lid])
+                    lake_members[lid] = []
+            lake_min[keep] = lake_min[elder]
+            lid = keep
+        lake_of[v] = lid
+        lake_members[lid].append(v)
+
+    essential = None
+    alive = set(lake_of)
+    if alive:
+        m0 = lake_min[alive.pop()]
+        essential = (m0, vals[m0])
+    ints = [np.array(c, dtype=np.intp) for c in (mins, saddles)]
+    floats = [np.array(c, dtype=np.float64) for c in (births, deaths, values)]
+    return _sorted_pairs(*ints, *floats, essential)
+
+
+class TestFloodAgainstReference:
+    """The rank-space flood gives the neighbor-list flood's columns bit for bit."""
+
+    def check(self, field):
+        got, ref = _dynamics_columns(field), reference_dynamics_columns(field)
+        for name in ("mins", "saddles", "births", "deaths", "values"):
+            a, b = getattr(got, name), getattr(ref, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name  # -0.0 included
+        assert repr(got.essential) == repr(ref.essential)
+        assert type(got.essential[0]) is int and type(got.essential[1]) is float
+
+    def test_tie_heavy_fields_1d_to_4d(self):
+        for f in tie_heavy_fields(2203, 480, GRIDS_4D):
+            self.check(f)
+
+    def test_verify_oracle_shapes(self):
+        shapes = [((s, s), "axis") for s in (32, 44, 64)]
+        shapes += [((s,) * 3, "full") for s in (12, 14, 16)]
+        for seed, (shape, conn) in enumerate(shapes):
+            self.check(generate(GeneratorSpec("uniform_random", shape, seed, connectivity=conn)))
 
 
 class TestPairColumns:

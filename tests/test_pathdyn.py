@@ -128,15 +128,22 @@ class TestAgainstReference:
                 checked += 1
         assert checked > 2000
 
-    def test_float_values_cache(self):
-        for vals in ([0.0, -0.0, 3.5, -0.0], [2.0, 1.0, 1.0], [7.0]):
-            f = ScalarField((len(vals),), vals)
-            cached = f.float_values()
-            floats, least = cached
-            assert type(floats) is tuple and all(type(x) is float for x in floats)
-            assert f.float_values() is cached
-            assert repr(floats) == repr(tuple(f.values.tolist()))
-            assert least == int(np.argmin(f.values))
+    def test_key_graph_cache(self):
+        for shape, conn in (((4,), "axis"), ((3,), "axis"), ((1,), "axis"), ((3, 2), "full")):
+            n = int(np.prod(shape))
+            for vals in ([0.0, -0.0, 3.5, -0.0, 1.0, -0.0], [2.0, 1.0, 1.0, 1.0, 0.0, 2.0]):
+                f = ScalarField(shape, vals[:n], conn)
+                cached = f.key_graph()
+                keys, verts, rows = cached
+                assert f.key_graph() is cached
+                by_key = sorted(range(n), key=lambda v: (float(f.values[v]), v))
+                assert verts == by_key and [verts[k] for k in keys] == list(range(n))
+                for k in reversed(range(n)):
+                    inside = [keys[u] for u in f.neighbor_lists()[verts[k]]]
+                    assert [u for u in rows[k] if u >= 0] == inside
+                    assert rows[k] is rows[k]
+                assert all(type(x) is int for x in keys + verts + sum(rows.values(), []))
+                assert f._order_cache is None
 
     def test_oracle_never_builds_the_total_order(self):
         # the oracle must stay independent of the rank array the pairing
