@@ -89,9 +89,9 @@ def _emit_json(obj, path: str):
 
 
 class _Records:
-    """A JSON list of objects with one key order, given as equal-length
-    columns (numpy arrays) under ``keys``, followed by the plain JSON values
-    in ``rest``."""
+    """A JSON list of objects with one key order, given as equal-length int
+    or float columns (numpy arrays) under ``keys``, followed by the plain
+    JSON values in ``rest``."""
 
     def __init__(self, keys, columns, rest):
         self.keys, self.columns, self.rest = keys, columns, rest
@@ -121,17 +121,16 @@ def _plain(obj):
 
 def _json_text(obj) -> str:
     """``json.dumps(obj, indent=2, allow_nan=False, default=_plain)``, byte for
-    byte, written by columns.
+    byte, written by columns where the commands' output has them.
 
     ``json.dumps`` with an indent runs the pure-Python encoder, one generator
-    step per value.  Here a container's members are formatted together: all
-    floats as one column; all ints by ``repr``; lists of lists per
-    position through one ``%`` template per length; numpy arrays as lists;
-    :class:`_Records` and :class:`_EdgeMap` through one ``%`` template per
-    member.  Each float column goes through ``repr`` once per distinct bit
-    pattern (so ``-0.0`` stays itself).  Anything else goes to ``json``.  A
-    non-finite float hands the whole tree to ``json`` again, so it raises
-    ``json``'s own ``ValueError``.
+    step per value.  Here the forms the commands emit are formatted a column
+    at a time: a str-keyed dict member by member, a 1D or 2D numpy array of
+    floats or ints, and :class:`_Records` and :class:`_EdgeMap` through one
+    ``%`` template per row or member.  Each float column goes through ``repr``
+    once per distinct bit pattern (so ``-0.0`` stays itself).  Everything else
+    goes to ``json``.  A non-finite float in a column hands the whole tree to
+    ``json`` again, so it raises ``json``'s own ``ValueError``.
     """
     try:
         return _indented(obj, "")
@@ -140,7 +139,7 @@ def _json_text(obj) -> str:
 
 
 class _NonFinite(Exception):
-    """A NaN or infinity somewhere in the tree."""
+    """A NaN or infinity somewhere in a column."""
 
 
 def _bracketed(brackets: str, texts, pad: str) -> str:
@@ -152,25 +151,17 @@ def _indented(obj, pad: str) -> str:
     kind = type(obj)
     inner = pad + "  "
     if kind is dict and obj and set(map(type, obj)) == {str}:
-        keys = map(encode_basestring_ascii, obj)
-        members = zip(keys, _column(list(obj.values()), inner))
-        return _bracketed("{}", map(": ".join, members), pad)
-    if kind is list and obj:
-        return _bracketed("[]", _column(obj, inner), pad)
-    if kind is np.ndarray and obj.size:
+        texts = [_indented(x, inner) for x in obj.values()]
+        return _bracketed("{}", map(": ".join, zip(map(encode_basestring_ascii, obj), texts)), pad)
+    if kind is np.ndarray and obj.size and obj.ndim <= 2 and obj.dtype.kind in "fiu":
         return _bracketed("[]", _array_texts(obj, inner), pad)
     if kind is _Records and (obj.columns[0].size or obj.rest):
         return _bracketed("[]", _record_texts(obj, inner), pad)
     if kind is _EdgeMap and obj.heads.size:
         members = zip(obj.heads.tolist(), obj.tails.tolist(), _float_texts(obj.values))
         return _bracketed("{}", map('"%d,%d": %s'.__mod__, members), pad)
-    if isinstance(obj, float) and not math.isfinite(obj):
-        raise _NonFinite
-    if isinstance(obj, (list, tuple, dict, np.ndarray, _Records, _EdgeMap)):
-        # empty, subclassed or with non-str keys
-        text = json.dumps(obj, indent=2, allow_nan=False, default=_plain)
-        return text.replace("\n", "\n" + pad)
-    return json.dumps(obj, allow_nan=False)  # a scalar, on the C encoder
+    text = json.dumps(obj, indent=2, allow_nan=False, default=_plain)
+    return text.replace("\n", "\n" + pad)
 
 
 def _float_texts(values) -> list:
@@ -185,24 +176,17 @@ def _float_texts(values) -> list:
     return texts[which].tolist()
 
 
-def _column(items, pad: str) -> list:
-    """The JSON text of each member of the sequence ``items``, all at indent ``pad``."""
-    kinds = set(map(type, items))
-    if kinds == {float}:
-        return _float_texts(items)
-    if kinds == {int}:
-        return [*map(repr, items)]
-    if kinds == {list}:
-        return _rows(items, pad)
-    return [_indented(x, pad) for x in items]
-
-
-def _array_texts(column, pad: str) -> list:
-    if column.dtype.kind == "f":
-        return _float_texts(column)
-    if column.dtype.kind in "iu":
-        return [*map(repr, column.tolist())]
-    return _column(column.tolist(), pad)
+def _array_texts(array, pad: str) -> list:
+    """The texts of a 1D float or int array's entries, or of a 2D one's rows,
+    each row through one template."""
+    flat = array.reshape(-1)
+    texts = _float_texts(flat) if array.dtype.kind == "f" else [*map(repr, flat.tolist())]
+    if array.ndim == 1:
+        return texts
+    width = array.shape[1]
+    inner = pad + "  "
+    template = "[\n" + inner + (",\n" + inner).join(["%s"] * width) + "\n" + pad + "]"
+    return [*map(template.__mod__, zip(*[iter(texts)] * width))]
 
 
 def _record_texts(records: _Records, pad: str) -> list:
@@ -221,26 +205,6 @@ def _record_texts(records: _Records, pad: str) -> list:
     template = "{\n" + inner + (",\n" + inner).join(fields) + "\n" + pad + "}"
     rows = [*map(template.__mod__, zip(*columns))] if columns[0] else []
     return rows + [_indented(x, pad) for x in records.rest]
-
-
-def _rows(items: list, pad: str) -> list:
-    """Lists grouped by length, and a group with more rows than positions
-    written by positions through one template."""
-    groups = {}
-    for i, row in enumerate(items):
-        groups.setdefault(len(row), []).append(i)
-    inner = pad + "  "
-    out = [None] * len(items)
-    for width, where in groups.items():
-        rows = [items[i] for i in where]
-        if len(rows) <= width or not width:
-            texts = [_indented(row, pad) for row in rows]
-        else:
-            template = "[\n" + inner + (",\n" + inner).join(["%s"] * width) + "\n" + pad + "]"
-            texts = map(template.__mod__, zip(*(_column(c, inner) for c in zip(*rows))))
-        for i, text in zip(where, texts):
-            out[i] = text
-    return out
 
 
 def _emit_field(field: ScalarField, path: str, fmt: str, invert: bool):
@@ -383,9 +347,9 @@ def _cmd_dynamics(args, conn, invert) -> int:
 def _cmd_diagram(args, conn, invert) -> int:
     field, _ = _read_input(args.input, args.format, conn, invert)
     pairs = _persistence_columns(field)
-    points = np.stack((pairs.births, pairs.deaths), axis=1).tolist()
+    points = np.stack((pairs.births, pairs.deaths), axis=1)
     if args.essential_death == "max" and pairs.essential is not None:
-        points.append([pairs.essential[1], float(field.values.max())])
+        points = np.vstack((points, [[pairs.essential[1], field.values.max()]]))
     _emit_json(points, args.output)
     return EXIT_OK
 
@@ -428,7 +392,7 @@ def _cmd_segment(args, conn, invert) -> int:
     obj = {
         "threshold": args.t,
         "region_count": labels.region_count,
-        "labels": list(labels.labels),
+        "labels": np.array(labels.labels),
         "filtered": -filtered.values if invert else filtered.values,
         "pairs": _Records(*pairs.json_records()),
         "curve": _curve_json(*curve),

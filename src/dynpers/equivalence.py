@@ -207,24 +207,15 @@ def verify_equivalence(
 
 
 def _shrink(field, spec, check_oracle, dynamics_fn, persistence_fn) -> EquivalenceReport:
-    """Drop trailing vertices (1D) or leading-axis rows (nD) while divergence persists."""
+    """Drop trailing leading-axis rows (vertices, in 1D) while divergence persists."""
     report = verify_equivalence(field, spec, check_oracle, dynamics_fn, persistence_fn)
     current = field
-    while True:
-        if current.ndim == 1:
-            if current.n_vertices <= 2:
-                break
-            smaller = ScalarField(
-                (current.n_vertices - 1,), current.values[:-1], current.connectivity
-            )
-        else:
-            if current.shape[0] <= 2:
-                break
-            rows = current.shape[0] - 1
-            rest = int(np.prod(current.shape[1:]))
-            smaller = ScalarField(
-                (rows,) + current.shape[1:], current.values[: rows * rest], current.connectivity
-            )
+    while current.shape[0] > 2:
+        rows = current.shape[0] - 1
+        rest = int(np.prod(current.shape[1:]))
+        smaller = ScalarField(
+            (rows,) + current.shape[1:], current.values[: rows * rest], current.connectivity
+        )
         attempt = verify_equivalence(smaller, spec, check_oracle, dynamics_fn, persistence_fn)
         if attempt.pairings_identical:
             break

@@ -260,6 +260,16 @@ def local_minima(field: ScalarField) -> list:
     return order[(_steepest_step(field) == rank)[order]].tolist()
 
 
+def _jump(parent: np.ndarray) -> np.ndarray:
+    """Each entry's root in the forest ``parent`` (roots point to themselves),
+    by pointer jumping: ``parent[parent]`` until nothing changes."""
+    while True:
+        nxt = parent[parent]
+        if np.array_equal(nxt, parent):
+            return parent
+        parent = nxt
+
+
 def _descent_basins(field: ScalarField) -> tuple:
     """``(minima, basin)``: the local minima sorted by the total order, and per
     vertex the age of the minimum its steepest descent ends at (its index in
@@ -272,11 +282,7 @@ def _descent_basins(field: ScalarField) -> tuple:
         order, rank = field.total_order()
         down = _steepest_step(field)[order]  # per rank, the rank one step down
         is_min = down == np.arange(down.size)
-        while True:
-            nxt = down[down]
-            if np.array_equal(nxt, down):
-                break
-            down = nxt
+        down = _jump(down)
         age = np.cumsum(is_min) - 1
         minima, basin = order[is_min], age[down][rank]
         minima.flags.writeable = False

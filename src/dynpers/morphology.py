@@ -27,6 +27,7 @@ from .grid import (
     Connectivity,
     ScalarField,
     _descent_basins,
+    _jump,
     filtration_order,
     neighbor_table,
     offset_slices,
@@ -56,11 +57,7 @@ def _plateaus(field: ScalarField) -> tuple:
     a, b = np.concatenate(flat_a), np.concatenate(flat_b)
     while a.size:
         np.minimum.at(plateau, np.maximum(a, b), np.minimum(a, b))
-        while True:
-            nxt = plateau[plateau]
-            if np.array_equal(nxt, plateau):
-                break
-            plateau = nxt
+        plateau = _jump(plateau)
         a, b = plateau[a], plateau[b]
         keep = a != b
         a, b = a[keep], b[keep]
@@ -142,12 +139,7 @@ def _basin_redirects(field: ScalarField, minima, basin, markers):
         if (exits[where] != 1).any() or held[where].any():
             return None
         redirect[unmarked] = basin[exit_vertex[where]]  # a lower minimum's age
-        while True:
-            nxt = redirect[redirect]
-            if np.array_equal(nxt, redirect):
-                return redirect
-            redirect = nxt
-    return redirect
+    return _jump(redirect)
 
 
 def watershed_from_markers(field: ScalarField, markers) -> WatershedLabels:

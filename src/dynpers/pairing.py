@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import UsageError
-from .grid import ScalarField, _descent_basins, neighbor_table, offset_slices
+from .grid import ScalarField, _descent_basins, _jump, neighbor_table, offset_slices
 
 INF = math.inf
 
@@ -118,11 +118,7 @@ def _spanning_saddles(a, b, weight, k: int, n: int) -> np.ndarray:
         hook[has] = np.where(ends_a == has, ends_b, ends_a)
         mutual = (hook[hook] == ids) & (ids < hook)
         hook[mutual] = ids[mutual]
-        while True:
-            nxt = hook[hook]
-            if np.array_equal(nxt, hook):
-                break
-            hook = nxt
+        hook = _jump(hook)
         root = hook[root]
         a, b = hook[a], hook[b]
         keep = np.flatnonzero(a != b)
@@ -348,13 +344,12 @@ def _dynamics_columns(field: ScalarField) -> _PairColumns:
         if len(ids) == 1:
             lid = ids.pop()
         else:
-            by_age = sorted(ids, key=lake_min.__getitem__)
-            elder = by_age[0]
-            for lid in reversed(by_age[1:]):
-                mins.append(lake_min[lid])
-                saddles.append(r)
-            keep = max(ids, key=lambda lid: (len(lake_members[lid]), -lid))
+            elder = min(ids, key=lake_min.__getitem__)
+            keep = max(ids, key=lambda lid: len(lake_members[lid]))
             for lid in ids:
+                if lid != elder:
+                    mins.append(lake_min[lid])
+                    saddles.append(r)
                 if lid != keep:
                     for u in lake_members[lid]:
                         lake_of[u] = keep

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -576,6 +577,64 @@ def _json_trees(leaves):
 
 JSON_TREES = _json_trees(SCALARS)
 
+COLUMN_FLOATS = st.one_of(FINITE, st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 0.1, 1e16]))
+INT64 = st.integers(-(2**63), 2**63 - 1)
+
+
+def _float_array(size):
+    return st.lists(COLUMN_FLOATS, min_size=size, max_size=size).map(
+        lambda v: np.array(v, dtype=np.float64)
+    )
+
+
+def _int_array(size):
+    return st.lists(INT64, min_size=size, max_size=size).map(lambda v: np.array(v, dtype=np.int64))
+
+
+@st.composite
+def _float_rows(draw):
+    """A ``(rows, width)`` float array, either extent possibly 0."""
+    rows, width = draw(st.integers(0, 5)), draw(st.integers(0, 3))
+    return draw(_float_array(rows * width)).reshape(rows, width)
+
+
+@st.composite
+def _records(draw, kids):
+    """Int and float columns under keys that need escaping, then plain values."""
+    keys = draw(st.lists(st.sampled_from(["a%", '"b"', "café", "\n\t", "%d", "v"]),
+                         min_size=1, max_size=4, unique=True))
+    size = draw(st.integers(0, 6))
+    columns = tuple(draw(st.one_of(_float_array(size), _int_array(size))) for _ in keys)
+    return cli._Records(tuple(keys), columns, draw(st.lists(kids, max_size=3)))
+
+
+@st.composite
+def _edge_maps(draw):
+    """Distinct ``(u, v)`` keys, so the plain dict keeps every member."""
+    edges = draw(st.lists(st.tuples(st.integers(0, 99), st.integers(0, 99)), max_size=8,
+                          unique=True))
+    ends = np.array(edges, dtype=np.intp).reshape(-1, 2)
+    return cli._EdgeMap(ends[:, 0], ends[:, 1], draw(_float_array(len(edges))))
+
+
+# The column forms the commands emit, each possibly empty, at random depths
+# inside str-keyed dicts and lists.
+COLUMN_TREES = st.recursive(
+    st.one_of(
+        SCALARS,
+        st.integers(0, 9).flatmap(_float_array),
+        st.integers(0, 9).flatmap(_int_array),
+        _float_rows(),
+    ),
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=4),
+        st.dictionaries(st.text(max_size=4), kids, max_size=4),
+        _records(kids),
+        _edge_maps(),
+    ),
+    max_leaves=20,
+)
+
 
 class TestJsonText:
     @settings(max_examples=200)
@@ -619,6 +678,28 @@ class TestJsonText:
             assert cli._json_text(form) == json.dumps(form, indent=2, default=cli._plain)
         with pytest.raises(ValueError):
             cli._json_text({"bad": cli._EdgeMap(ints[:1], ints[:1], np.array([math.inf]))})
+
+    @settings(max_examples=200)
+    @given(COLUMN_TREES)
+    def test_column_forms_at_any_depth_match_json_dumps(self, obj):
+        plain = json.dumps(obj, indent=2, allow_nan=False, default=cli._plain)
+        assert cli._json_text(obj) == plain
+
+    @settings(max_examples=100)
+    @given(st.integers(1, 4), st.integers(1, 3), st.data(),
+           st.sampled_from([math.nan, math.inf, -math.inf]), st.lists(st.booleans(), max_size=4))
+    def test_non_finite_in_a_nested_2d_array_raises_json_error(self, rows, width, data, bad,
+                                                               wraps):
+        values = data.draw(_float_array(rows * width))
+        values[data.draw(st.integers(0, values.size - 1))] = bad
+        tree = values.reshape(rows, width)
+        for in_dict in wraps:
+            tree = {"k": tree} if in_dict else [0.5, tree]
+        with pytest.raises(ValueError) as expected:
+            json.dumps(tree, indent=2, allow_nan=False, default=cli._plain)
+        with pytest.raises(ValueError) as got:
+            cli._json_text(tree)
+        assert str(got.value) == str(expected.value)
 
 
 def _field_header(shape) -> str:
@@ -766,13 +847,16 @@ import sys
 import numpy as np
 import dynpers.cli as cli
 rng = np.random.default_rng(0)
+lowest = {}
 for name, shape in (("d2", (20, 20)), ("d3", (6, 6, 6))):
     values = rng.uniform(size=int(np.prod(shape))).tolist()
+    lowest[name] = values.index(min(values))
     with open(name, "w") as fh:
         fh.write("FIELD %d %s\\n" % (len(shape), " ".join(map(str, shape))))
         fh.write("".join("%r\\n" % v for v in values))
 for argv in (["segment", "--t", "0.1234567"], ["saliency"], ["curve"], ["pairs", "--method", "both"],
-             ["filter", "--t", "0.1234567"], ["watershed"]):
+             ["filter", "--t", "0.1234567"], ["watershed"],
+             ["diagram", "--essential-death", "max"], ["dynamics", "--min", str(lowest["d2"])]):
     assert cli.main(argv + ["d2", "--output", "out"]) == 0
 assert cli.main(["--connectivity", "full", "pairs", "--method", "both", "d3", "--output", "out"]) == 0
 for conn, shape in (("axis", "20x20"), ("full", "6x6x6")):  # verify with the path oracle
@@ -787,3 +871,29 @@ print("numpy.ma" in sys.modules)
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+
+    def test_traced_bench_commands_run(self, tmp_path):
+        # bench/run.py --trace 1 wraps dynpers functions by name and reads
+        # MergeTree.events; a rename there would otherwise break it silently
+        bench = Path(__file__).resolve().parent.parent / "bench"
+        script = f"""
+import sys
+sys.path.insert(0, {str(bench)!r})
+import numpy as np
+from spans import Tracer
+from workloads import DENSE_COMMANDS
+main = Tracer().install()
+values = np.random.default_rng(0).uniform(size=144).tolist()
+with open("d2", "w") as fh:
+    fh.write("FIELD 2 12 12\\n" + "".join("%r\\n" % v for v in values))
+for argv in [*DENSE_COMMANDS, ("saliency", "--as-field")]:
+    assert main([*argv, "d2", "--output", "out"]) == 0, argv
+argv = ["--connectivity", "full", "verify", "--trials", "1", "--shape", "4x4x4", "--output", "out"]
+assert main(argv) == 0, argv
+"""
+        cache = tmp_path / "pycache"  # keeps bytecode out of bench/
+        cache.mkdir()
+        env = dict(os.environ, PYTHONPYCACHEPREFIX=str(cache))
+        proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr

@@ -129,6 +129,33 @@ class TestSweep:
             shrunk, check_oracle=False, dynamics_fn=drop_one
         ).pairings_identical
 
+    # uniform_random seed 0's first values; the shrinker keeps a prefix
+    SHRUNK_1D = (0.6369616873214543, 0.2697867137638703, 0.04097352393619469,
+                 0.016527635528529094, 0.8132702392002724, 0.9127555772777217,
+                 0.6066357757671799)
+    SHRUNK_2D = SHRUNK_1D + (0.7294965609839984, 0.5436249914654229, 0.9350724237877682,
+                             0.8158535541215322, 0.002738500170148095, 0.8574042765875693,
+                             0.033585575305464355, 0.7296554464299441)
+
+    @pytest.mark.parametrize("shape, shrunk_shape, bad_min, values", [
+        ((24,), (7,), 6, SHRUNK_1D),
+        ((6, 5), (3, 5), 3, SHRUNK_2D),
+    ], ids=["1d", "2d"])
+    def test_shrinker_keeps_the_least_diverging_prefix(self, shape, shrunk_shape, bad_min,
+                                                       values):
+        def drop_one(field):  # the hook of test_fault_injection_populates_counterexample
+            pairs = pair_by_dynamics(field)
+            finite = [p for p in pairs if not p.is_essential]
+            if finite:
+                pairs = [p for p in pairs if p is not finite[-1]]
+            return pairs
+
+        spec = GeneratorSpec("uniform_random", shape, seed=0)
+        report = sweep([spec], check_oracle=False, dynamics_fn=drop_one)
+        assert report.first_counterexample == (spec, bad_min)
+        assert report.counterexample_shape == shrunk_shape
+        assert report.counterexample_values == values
+
     def test_fail_fast_stops_early(self):
         def always_empty(field):
             return [p for p in pair_by_dynamics(field) if p.is_essential]
