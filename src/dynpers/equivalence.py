@@ -16,8 +16,8 @@ import numpy as np
 
 from .errors import UsageError
 from .grid import Connectivity, ScalarField
-from .pairing import pair_by_dynamics, pair_by_persistence
-from .pathdyn import dynamics_oracle
+from .pairing import _dynamics_columns, _PairColumns, _persistence_columns
+from .pathdyn import dynamics_oracle, oracle_columns
 
 KINDS = ("gaussian_mixture", "poly_sine_1d", "uniform_random")
 
@@ -138,42 +138,58 @@ class EquivalenceReport:
         return obj
 
 
+def _columns(pairs) -> tuple:
+    """``(mins, saddles, values)`` of a pairing, given as columns or as a pair
+    list; the essential pair's saddle reads -1."""
+    if isinstance(pairs, _PairColumns):
+        mins, saddles, values = pairs.mins, pairs.saddles, pairs.values
+        if pairs.essential is None:
+            return mins, saddles, values
+        m0 = pairs.essential[0]
+        return np.append(mins, m0), np.append(saddles, -1), np.append(values, math.inf)
+    mins = np.array([p.min_vertex for p in pairs], dtype=np.intp)
+    saddles = np.array([-1 if p.is_essential else p.saddle_vertex for p in pairs], dtype=np.intp)
+    return mins, saddles, np.array([p.value for p in pairs], dtype=np.float64)
+
+
 def _divergent_minimum(field, per_pairs, dyn_pairs, check_oracle) -> tuple:
-    """(divergent minimum or None, max value discrepancy)."""
-    per_by_min = {p.min_vertex: p for p in per_pairs}
-    dyn_by_min = {p.min_vertex: p for p in dyn_pairs}
+    """(divergent minimum or None, max value discrepancy).
+
+    Both pairings are compared minimum by minimum in total order; the first
+    minimum whose pairs differ, or else whose persistence pair differs from
+    the oracle, is the divergent one.  Every route disagreement counts toward
+    the discrepancy, the oracle's only at that first minimum.
+    """
     rank = field.total_order()[1]
-    worst = 0.0
-    bad = None
+    pm, ps, pv = _columns(per_pairs)
+    dm, ds, dv = _columns(dyn_pairs)
+    pick = np.argsort(rank[pm])
+    pm, ps, pv = pm[pick], ps[pick], pv[pick]
+    pick = np.argsort(rank[dm])
+    dm, ds, dv = dm[pick], ds[pick], dv[pick]
+    if not np.array_equal(pm, dm):
+        sym = np.setxor1d(pm, dm)
+        return int(sym[np.argmin(rank[sym])]), math.inf
 
-    def order(ms):
-        return sorted(ms, key=rank.__getitem__)
-
-    if set(per_by_min) != set(dyn_by_min):
-        sym = set(per_by_min) ^ set(dyn_by_min)
-        return order(sym)[0], math.inf
-    for m in order(per_by_min):
-        p, d = per_by_min[m], dyn_by_min[m]
-        if (p.saddle_vertex, p.value) != (d.saddle_vertex, d.value):
-            if bad is None:
-                bad = m
-            if p.value != d.value:
-                diff = (
-                    math.inf
-                    if math.isinf(p.value) != math.isinf(d.value)
-                    else abs(p.value - d.value)
-                )
-                worst = max(worst, diff)
-            else:
-                worst = max(worst, math.inf)  # same value, different saddle
-        if check_oracle and bad is None:
-            value, witness = dynamics_oracle(field, m)
-            if (value, witness) != (p.value, p.saddle_vertex):
-                bad = m
-                worst = max(
-                    worst, 0.0 if value == p.value else abs(value - p.value)
-                )
-    return bad, worst
+    split = np.flatnonzero((ps != ds) | (pv != dv))
+    pvs, dvs = pv[split], dv[split]
+    gaps = np.full(split.size, math.inf)  # same value, different saddle: inf
+    finite = (pvs != dvs) & (np.isinf(pvs) == np.isinf(dvs))
+    gaps[finite] = np.abs(pvs[finite] - dvs[finite])
+    worst = float(gaps.max(initial=0.0))
+    first = int(split[0]) if split.size else pm.size
+    if check_oracle:
+        value, witness = oracle_columns(field)
+        ov, ow = value[pm[:first]], witness[pm[:first]]
+        wrong = np.flatnonzero((ov != pv[:first]) | (ow != ps[:first]))
+        if wrong.size:
+            j = int(wrong[0])
+            if math.isnan(ov[j]):  # no local minimum: the oracle raises
+                dynamics_oracle(field, pm[j])
+            first = j
+            if ov[j] != pv[j]:
+                worst = max(worst, abs(float(ov[j]) - float(pv[j])))
+    return (int(pm[first]) if first < pm.size else None), worst
 
 
 def verify_equivalence(
@@ -189,8 +205,8 @@ def verify_equivalence(
     ``persistence_fn`` exist so tests can inject a corrupted pairing and watch
     the report catch it.
     """
-    dynamics_fn = dynamics_fn or pair_by_dynamics
-    persistence_fn = persistence_fn or pair_by_persistence
+    dynamics_fn = dynamics_fn or _dynamics_columns
+    persistence_fn = persistence_fn or _persistence_columns
     per = persistence_fn(field)
     dyn = dynamics_fn(field)
     bad, worst = _divergent_minimum(field, per, dyn, check_oracle)

@@ -55,7 +55,7 @@ class ScalarField:
     connectivity: Connectivity = Connectivity.AXIS
     _neighbor_cache: list = _dc_field(default=None, repr=False, compare=False)
     _order_cache: tuple = _dc_field(default=None, repr=False, compare=False)
-    _key_cache: tuple = _dc_field(default=None, repr=False, compare=False)
+    _oracle_cache: tuple = _dc_field(default=None, repr=False, compare=False)
     _basin_cache: tuple = _dc_field(default=None, repr=False, compare=False)
 
     def __init__(self, shape, values, connectivity=Connectivity.AXIS):
@@ -81,7 +81,7 @@ class ScalarField:
         object.__setattr__(self, "connectivity", _as_connectivity(connectivity))
         object.__setattr__(self, "_neighbor_cache", None)
         object.__setattr__(self, "_order_cache", None)
-        object.__setattr__(self, "_key_cache", None)
+        object.__setattr__(self, "_oracle_cache", None)
         object.__setattr__(self, "_basin_cache", None)
 
     @property
@@ -120,42 +120,6 @@ class ScalarField:
             rank.flags.writeable = False
             object.__setattr__(self, "_order_cache", (order, rank))
         return self._order_cache
-
-    def key_graph(self) -> tuple:
-        """``(keys, verts, rows)``: the grid graph renumbered by the strict
-        total order (cached, computed once per field).
-
-        ``keys[v]`` is the position of ``v`` in the ``(value, index)`` order
-        and ``verts`` is its inverse, both lists of Python ints.  ``rows[k]``
-        lists the keys of the neighbors of ``verts[k]``, one per
-        :func:`neighbor_table` column, -1 for a neighbor outside the box; each
-        row is built on first use.  The keys come from ``values`` alone, by a
-        lexsort and never from :meth:`total_order`, so the path oracle that
-        reads them stays independent of the pairing routes.
-        """
-        if self._key_cache is None:
-            n = self.n_vertices
-            verts = np.lexsort((np.arange(n), self.values))
-            keys = np.empty(n + 1, dtype=np.intp)
-            keys[verts] = np.arange(n)
-            keys[n] = -1  # what the table's -1 entries read
-            table = keys[neighbor_table(self.shape, self.connectivity)[verts]]
-            graph = (keys[:n].tolist(), verts.tolist(), _Rows(table))
-            object.__setattr__(self, "_key_cache", graph)
-        return self._key_cache
-
-
-class _Rows(dict):
-    """Rows of an int table as lists, each built on first use: a walk from a
-    few vertices reads only a few of them."""
-
-    def __init__(self, table: np.ndarray):
-        super().__init__()
-        self.table = table
-
-    def __missing__(self, k: int) -> list:
-        row = self[k] = self.table[k].tolist()
-        return row
 
 
 def _offsets(shape, connectivity: Connectivity):

@@ -2,19 +2,20 @@
 
 The dynamics of a local minimum is the least, over all grid walks that reach a
 total-order-smaller vertex, of the highest value met on the way, minus the
-minimum's own value.  :func:`dynamics_oracle` computes it with a priority-flood
-minimax search over the integer keys of :meth:`ScalarField.key_graph`,
-computed once per field from the values alone; :func:`exhaustive_dynamics`
-re-derives it by brute force on tiny fields.
+minimum's own value.  :func:`oracle_columns` computes it for every local
+minimum at once from a minimum spanning forest of the grid edges, keyed by the
+values alone; :func:`dynamics_oracle` reads one minimum from it, and
+:func:`exhaustive_dynamics` re-derives it by brute force on tiny fields.
 """
 
 from __future__ import annotations
 
 import math
-from heapq import heappop, heappush
+
+import numpy as np
 
 from .errors import UsageError
-from .grid import ScalarField
+from .grid import ScalarField, _jump, offset_slices
 
 INF = math.inf
 
@@ -38,52 +39,145 @@ def effort(field: ScalarField, path) -> float:
 
 
 def dynamics_oracle(field: ScalarField, m: int) -> tuple:
-    """Dynamics of a local minimum plus the witness saddle, by priority flood.
-
-    Works on the integer keys of :meth:`ScalarField.key_graph`, a vertex's
-    position in the ``(value, index)`` order.  Floods outward from ``m``,
-    always popping the least frontier key and pushing each vertex once, and
-    keeps ``top``, the greatest key popped so far, until it pops a key below
-    ``m``'s.  The popped set is then connected and holds ``m`` and a lower
-    vertex, so some walk between them stays at or below ``top``.  Until then
-    the frontier always holds a vertex of the best walk, so no popped key
-    exceeds that walk's maximum.  ``top`` is therefore the minimax key ``max
-    over the path of (value, index)``: ties resolve by the total order, and
-    the witness is the total-order-greatest vertex attaining the path maximum
-    -- the same vertex at which the flooding merge happens.
-
-    The flood returns one step earlier, as soon as it discovers a key below
-    ``m``'s: that key goes onto the frontier, so the next pop would be below
-    ``m``'s and end the flood with the same ``top``, which changes only at a
-    pop.  A lower key among ``m``'s own neighbors means ``m`` is no local
-    minimum.
+    """Dynamics of a local minimum plus the witness saddle, read from
+    :func:`oracle_columns`.
 
     Returns ``(value, witness)``; the total-order-least vertex of the field
     gets ``(inf, None)``.
     """
     m = field.check_vertex(m)
-    keys, verts, rows = field.key_graph()
-    key_m = keys[m]
-    if key_m == 0:
-        return (INF, None)
+    values, witnesses = oracle_columns(field)
+    value, w = values.item(m), witnesses.item(m)
+    if math.isnan(value):
+        raise UsageError(f"vertex {m} is not a local minimum of the field")
+    return (value, None if w < 0 else w)
 
-    seen = {-1, key_m}  # -1 stands for every neighbor outside the box
-    frontier = [key_m]
-    top = key_m
-    while frontier:
-        key = heappop(frontier)
-        if key > top:
-            top = key
-        for u in rows[key]:
-            if u not in seen:
-                if u < key_m:
-                    if key == key_m:  # a neighbor of m itself
-                        raise UsageError(f"vertex {m} is not a local minimum of the field")
-                    w = verts[top]
-                    return (field.values.item(w) - field.values.item(m), w)
-                seen.add(u)
-                heappush(frontier, u)
-    raise AssertionError("grid is connected; a lower vertex must be reachable")
+
+def oracle_columns(field: ScalarField) -> tuple:
+    """``(value, witness)`` per vertex: every local minimum's dynamics and
+    witness saddle, ``nan`` and -1 on every other vertex, ``inf`` and -1 on the
+    total-order-least vertex.  Cached per field as read-only arrays.
+
+    Each vertex gets its key, its position in the ``(value, index)`` order,
+    by a lexsort of the values (never from :meth:`ScalarField.total_order`),
+    and each grid edge the weight ``max(key) * n + min(key)``, unique per
+    edge.  A walk's highest key is its heaviest edge's ``max(key)``, so a
+    minimum ``m``'s value is the minimax key of a walk from ``m`` to a lower
+    key.  Add the edges by ascending weight (Kruskal): that minimax key is
+    the ``max(key)`` of the first edge after which ``m``'s component holds a
+    key below ``m``'s, and the witness is the vertex with that key.  Adding
+    an edge joins two components; only the component whose least key is the
+    greater one gains a lower key, and every other vertex of it already had
+    one, so the edge answers exactly that component's least key.  Edges
+    inside a component change nothing, and minimax paths lie in a minimum
+    spanning forest (Hu 1961), so only the forest's edges are replayed.
+
+    The forest comes from Borůvka rounds.  Round one is in closed form: a
+    vertex's lightest edge goes to its least-key neighbor, and every vertex
+    with a lower neighbor hooks along it.  That edge is the vertex's lightest
+    of all, so Kruskal adds it while the vertex is still alone and at its own
+    key: it answers a vertex that is no local minimum and is never replayed.
+    The components left are trees hanging from the local minima; the later
+    rounds run on the grid edges between them.
+    """
+    if field._oracle_cache is None:
+        n = field.n_vertices
+        shape, conn = field.shape, field.connectivity
+        verts = np.lexsort((np.arange(n), field.values))
+        key = np.empty(n, dtype=np.intp)
+        key[verts] = np.arange(n)
+        key = key.reshape(shape)
+        low = key.copy()  # per vertex, its own key or its least neighbor's
+        slices = offset_slices(shape, conn)
+        for _, src, dst in slices:
+            np.minimum(low[src], key[dst], out=low[src])
+        down = np.empty(n, dtype=np.intp)
+        down[key.reshape(-1)] = low.reshape(-1)  # per key, the key it hooks to
+        is_min = down == np.arange(n)
+        # per vertex, its tree; tree ids ascend with their minima's keys
+        basin = (np.cumsum(is_min) - 1)[_jump(down)][key]
+        a, b, weight = _cut_edges(slices, key, basin, n)
+        order = np.argsort(weight)
+        a, b, weight = a[order], b[order], weight[order]
+        k = int(is_min.sum())
+        forest = _boruvka(a, b, k)
+        dying = _elder_rule(a[forest].tolist(), b[forest].tolist(), k)
+
+        mins = verts[np.flatnonzero(is_min)]
+        value = np.full(n, np.nan)
+        witness = np.full(n, -1, dtype=np.intp)
+        value[mins[0]] = INF
+        dying, top = mins[dying], verts[weight[forest] // n]
+        value[dying] = field.values[top] - field.values[dying]
+        witness[dying] = top
+        value.flags.writeable = False
+        witness.flags.writeable = False
+        object.__setattr__(field, "_oracle_cache", (value, witness))
+    return field._oracle_cache
+
+
+def _cut_edges(slices, key, basin, n: int) -> tuple:
+    """``(a, b, weight)``: every grid edge whose ends lie in different trees,
+    as the two tree ids and ``max(key) * n + min(key)``."""
+    zero = (0,) * key.ndim
+    a, b, weight = ([np.empty(0, dtype=np.intp)] for _ in range(3))  # a grid may have no edge
+    for off, src, dst in slices:
+        if off > zero:
+            bs, bd = basin[src], basin[dst]
+            cut = bs != bd
+            ks, kd = key[src][cut], key[dst][cut]
+            a.append(bs[cut])
+            b.append(bd[cut])
+            weight.append(np.maximum(ks, kd) * n + np.minimum(ks, kd))
+    return np.concatenate(a), np.concatenate(b), np.concatenate(weight)
+
+
+def _boruvka(a, b, k: int) -> np.ndarray:
+    """Mask of the minimum spanning forest's edges ``(a[i], b[i])`` over
+    ``k`` nodes, the edges sorted by weight.
+
+    Every component takes its least incident edge, hooks along it (a mutual
+    pair hooks toward the smaller id) and pointer-jumps to its new root; the
+    edges now inside one component are dropped.
+    """
+    ids = np.arange(k)
+    forest = np.zeros(a.size, dtype=bool)
+    edge = np.arange(a.size)  # the edges left, ascending; a and b hold their ends' roots
+    while edge.size:
+        pos = np.arange(edge.size)
+        best = np.full(k, edge.size)
+        np.minimum.at(best, a, pos)
+        np.minimum.at(best, b, pos)
+        has = np.flatnonzero(best < edge.size)
+        least = best[has]
+        forest[edge[least]] = True
+        hook = ids.copy()
+        hook[has] = np.where(a[least] == has, b[least], a[least])
+        mutual = (hook[hook] == ids) & (ids < hook)
+        hook[mutual] = ids[mutual]
+        hook = _jump(hook)
+        a, b = hook[a], hook[b]
+        keep = np.flatnonzero(a != b)
+        a, b, edge = a[keep], b[keep], edge[keep]
+    return forest
+
+
+def _elder_rule(a: list, b: list, k: int) -> np.ndarray:
+    """Per edge ``(a[i], b[i])`` over ``k`` nodes, replayed in order over a
+    union-find whose root is a component's least id (path halving): the
+    greater of the two roots it joins."""
+    parent = list(range(k))
+    dying = []
+    for x, y in zip(a, b):
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        while parent[y] != y:
+            parent[y] = y = parent[parent[y]]
+        if x > y:
+            x, y = y, x
+        parent[y] = x
+        dying.append(y)
+    return np.array(dying, dtype=np.intp)
 
 
 MAX_EXHAUSTIVE_VERTICES = 12

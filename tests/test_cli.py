@@ -122,6 +122,12 @@ class TestFieldCommands:
         assert code == 0
         assert json.loads(out) == {"min_index": 3, "value": "inf", "witness": None}
 
+    def test_dynamics_on_a_single_vertex(self, capsys, monkeypatch):
+        # a grid with no edge: the one vertex is the essential minimum
+        code, out, err = run_main(["dynamics", "--min", "0"], "2.5\n", capsys, monkeypatch)
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {"min_index": 0, "value": "inf", "witness": None}
+
     def test_dynamics_non_minimum_is_domain_error(self, capsys, monkeypatch):
         code, _, _ = run_main(["dynamics", "--min", "0"], SIGNAL_CSV, capsys, monkeypatch)
         assert code == 1
@@ -199,7 +205,7 @@ class TestVerifyAndGen:
 
         import dynpers.equivalence as eq
 
-        monkeypatch.setattr(eq, "pair_by_dynamics", corrupted)
+        monkeypatch.setattr(eq, "_dynamics_columns", corrupted)  # verify's dynamics route
         code, out, _ = run_main(
             ["verify", "--trials", "2", "--shape", "12", "--seed", "0", "--no-oracle"],
             "",

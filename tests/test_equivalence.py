@@ -80,6 +80,18 @@ class TestVerifyEquivalence:
         assert report.first_counterexample == (None, 1)
         assert report.max_value_discrepancy == 0.5
 
+    def test_oracle_on_the_nested_comb(self):
+        # every minimum's cheapest exit climbs past all shallower minima: a
+        # per-minimum search walks Theta(n) vertices for each of them
+        k = 8001
+        values = np.empty(2 * k - 1)
+        values[0::2] = -np.arange(k)
+        jitter = np.random.default_rng(8001).uniform(0.0, 0.0005, k - 1)
+        values[1::2] = 0.5 + 0.001 * np.arange(k - 1) + jitter
+        field = ScalarField(values.shape, values)
+        assert len(local_minima(field)) == k
+        assert verify_equivalence(field, check_oracle=True).pairings_identical
+
     @settings(max_examples=80, deadline=None)
     @given(
         shape=st.lists(st.integers(1, 6), min_size=1, max_size=3),

@@ -413,7 +413,7 @@ class TestPersistenceRouteBuildsNoNeighborLists:
             assert f._neighbor_cache is None
 
     def test_dynamics_route_and_verify_build_none_either(self, capsys, monkeypatch):
-        # the flood walks lower-neighbor rows and the oracle its key graph
+        # the flood walks lower-neighbor rows and the oracle the offset slices
         f = self.fresh()
         pair_by_dynamics(f)
         assert f._neighbor_cache is None
@@ -435,7 +435,7 @@ class TestPersistenceRouteBuildsNoNeighborLists:
         capsys.readouterr()
         assert len(fields) == 5
         assert all(g._neighbor_cache is None for g in fields)
-        assert sum(g._key_cache is not None for g in fields) == 4  # the oracle ran
+        assert sum(g._oracle_cache is not None for g in fields) == 4  # the oracle ran
 
 
 def reference_dynamics_columns(field):

@@ -1,6 +1,7 @@
 import heapq
 import itertools
 import math
+from heapq import heappop, heappush
 
 import numpy as np
 import pytest
@@ -14,7 +15,9 @@ from dynpers import (
     local_minima,
     pair_by_dynamics,
 )
-from fields import tie_heavy_fields
+from dynpers.grid import neighbor_table
+from dynpers.pathdyn import oracle_columns
+from fields import GRIDS_4D, tie_heavy_fields
 
 SIGNAL = ScalarField((5,), [5, 1, 4, 0, 6])
 GRID33 = ScalarField((3, 3), [9, 8, 10, 2, 7, 3, 11, 12, 13])
@@ -48,6 +51,66 @@ def reference_oracle(field, m):
                 best[u] = nk
                 heapq.heappush(heap, (nk[0], nk[1], u))
     raise AssertionError("grid is connected; a lower vertex must be reachable")
+
+
+def key_graph(field):
+    """``(keys, verts, rows)``: the grid graph renumbered by the ``(value,
+    index)`` order, as lists of Python ints.  ``rows[k]`` lists the keys of
+    the neighbors of ``verts[k]``, -1 for a neighbor outside the box."""
+    n = field.n_vertices
+    verts = np.lexsort((np.arange(n), field.values))
+    keys = np.empty(n + 1, dtype=np.intp)
+    keys[verts] = np.arange(n)
+    keys[n] = -1  # what the table's -1 entries read
+    table = keys[neighbor_table(field.shape, field.connectivity)[verts]]
+    return keys[:n].tolist(), verts.tolist(), table.tolist()
+
+
+def flood_oracle(field, m, graph):
+    """The per-minimum priority flood over :func:`key_graph` that the batch
+    oracle replaced, kept verbatim as its reference.
+
+    Floods outward from ``m``, always popping the least frontier key, and
+    keeps ``top``, the greatest key popped so far, until it discovers a key
+    below ``m``'s; ``top`` is then the minimax key and ``verts[top]`` the
+    witness.
+    """
+    m = field.check_vertex(m)
+    keys, verts, rows = graph
+    key_m = keys[m]
+    if key_m == 0:
+        return (math.inf, None)
+
+    seen = {-1, key_m}  # -1 stands for every neighbor outside the box
+    frontier = [key_m]
+    top = key_m
+    while frontier:
+        key = heappop(frontier)
+        if key > top:
+            top = key
+        for u in rows[key]:
+            if u not in seen:
+                if u < key_m:
+                    if key == key_m:  # a neighbor of m itself
+                        raise UsageError(f"vertex {m} is not a local minimum of the field")
+                    w = verts[top]
+                    return (field.values.item(w) - field.values.item(m), w)
+                seen.add(u)
+                heappush(frontier, u)
+    raise AssertionError("grid is connected; a lower vertex must be reachable")
+
+
+def flood_fields():
+    """Tie-heavy fields up to 4D, 4x6 fields of extreme magnitudes and signed
+    zeros, then uniform 32x32 axis and 12x12x12 full fields."""
+    yield from tie_heavy_fields(5, 600, GRIDS_4D)
+    rng = np.random.default_rng(17)
+    extremes = [1e16, -1e16, 1.0, -1.0, 0.0, -0.0, 1e-300]
+    for i in range(300):
+        yield ScalarField((4, 6), rng.choice(extremes, size=24), ("axis", "full")[i % 2])
+    for _ in range(30):
+        yield ScalarField((32, 32), rng.uniform(size=1024))
+        yield ScalarField((12, 12, 12), rng.uniform(size=1728), "full")
 
 
 def oracle_fields():
@@ -128,21 +191,36 @@ class TestAgainstReference:
                 checked += 1
         assert checked > 2000
 
-    def test_key_graph_cache(self):
+    def test_equal_to_the_per_minimum_flood(self):
+        checked = 0
+        for f in flood_fields():
+            graph = key_graph(f)
+            for m in local_minima(f):
+                value, witness = dynamics_oracle(f, m)
+                ref_value, ref_witness = flood_oracle(f, m, graph)
+                assert witness == ref_witness and type(witness) is type(ref_witness)
+                assert value == ref_value and type(value) is float
+                assert math.copysign(1.0, value) == math.copysign(1.0, ref_value)
+                checked += 1
+        assert checked > 10000
+
+    def test_oracle_cache(self):
         for shape, conn in (((4,), "axis"), ((3,), "axis"), ((1,), "axis"), ((3, 2), "full")):
             n = int(np.prod(shape))
             for vals in ([0.0, -0.0, 3.5, -0.0, 1.0, -0.0], [2.0, 1.0, 1.0, 1.0, 0.0, 2.0]):
                 f = ScalarField(shape, vals[:n], conn)
-                cached = f.key_graph()
-                keys, verts, rows = cached
-                assert f.key_graph() is cached
-                by_key = sorted(range(n), key=lambda v: (float(f.values[v]), v))
-                assert verts == by_key and [verts[k] for k in keys] == list(range(n))
-                for k in reversed(range(n)):
-                    inside = [keys[u] for u in f.neighbor_lists()[verts[k]]]
-                    assert [u for u in rows[k] if u >= 0] == inside
-                    assert rows[k] is rows[k]
-                assert all(type(x) is int for x in keys + verts + sum(rows.values(), []))
+                cached = oracle_columns(f)
+                assert oracle_columns(f) is cached
+                value, witness = cached
+                assert not value.flags.writeable and not witness.flags.writeable
+                graph = key_graph(f)
+                minima = local_minima(ScalarField(shape, vals[:n], conn))
+                for m in range(n):
+                    if m in minima:
+                        assert dynamics_oracle(f, m) == flood_oracle(f, m, graph)
+                    else:
+                        assert math.isnan(value[m]) and witness[m] == -1
+                assert oracle_columns(f) is cached  # the lookups read the one batch
                 assert f._order_cache is None
 
     def test_oracle_never_builds_the_total_order(self):
@@ -192,6 +270,22 @@ class TestTiedGlobalMinimum:
                 f = ScalarField(shape, np.full(int(np.prod(shape)), 2.5), conn)
                 assert local_minima(f) == [0]
                 assert dynamics_oracle(f, 0) == (math.inf, None)
+
+    @pytest.mark.parametrize("shape", [(1,), (1, 1, 1), (1, 4), (3, 1, 2)])
+    @pytest.mark.parametrize("conn", ["axis", "full"])
+    def test_grids_with_few_or_no_edges(self, shape, conn):
+        # a single vertex has no edge at all, and no offset moves along an
+        # axis of extent 1
+        n = int(np.prod(shape))
+        for vals in (np.full(n, -0.0), np.arange(n, 0.0, -1.0)):
+            f = ScalarField(shape, vals, conn)
+            least = n - 1 if vals[0] > 0 else 0
+            assert dynamics_oracle(f, least) == (math.inf, None)
+            for v in set(range(n)) - {least}:
+                with pytest.raises(UsageError, match=f"vertex {v} is not a local minimum"):
+                    dynamics_oracle(f, v)
+            with pytest.raises(UsageError, match=f"vertex {n} out of range"):
+                dynamics_oracle(f, n)
 
     def test_few_levels_1d_to_3d_full(self):
         rng = np.random.default_rng(11)
