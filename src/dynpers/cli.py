@@ -224,7 +224,7 @@ def _field_output_format(args, input_fmt: str, field: ScalarField) -> str:
 def _labels_format(labels) -> str:
     if len(labels.shape) == 1:
         return "csv-1d"
-    if len(labels.shape) == 2 and max(labels.labels) <= 65535:  # pgm-2d maxval limit
+    if len(labels.shape) == 2 and labels._labels.max() <= 65535:  # pgm-2d maxval limit
         return "pgm-2d"
     return "field-nd"
 
@@ -371,7 +371,7 @@ def _cmd_filter(args, conn, invert) -> int:
 def _cmd_watershed(args, conn, invert) -> int:
     field, _ = _read_input(args.input, args.format, conn, invert)
     labels = watershed(field)
-    label_field = ScalarField(field.shape, labels.labels, field.connectivity)
+    label_field = ScalarField(field.shape, labels._labels, field.connectivity)
     _emit_text(write_field(label_field, fmt=_labels_format(labels)), args.output)
     return EXIT_OK
 
@@ -392,7 +392,7 @@ def _cmd_segment(args, conn, invert) -> int:
     obj = {
         "threshold": args.t,
         "region_count": labels.region_count,
-        "labels": np.array(labels.labels),
+        "labels": labels._labels,
         "filtered": -filtered.values if invert else filtered.values,
         "pairs": _Records(*pairs.json_records()),
         "curve": _curve_json(*curve),

@@ -234,24 +234,59 @@ def _jump(parent: np.ndarray) -> np.ndarray:
         parent = nxt
 
 
+def _boruvka(a, b, weight, k: int) -> np.ndarray:
+    """Indices of the minimum spanning forest's edges ``(a[i], b[i])`` over
+    ``k`` nodes, ascending by ``weight``, which is unique per edge.
+
+    Every component takes its least incident edge, hooks along it (a mutual
+    pair hooks toward the smaller id) and pointer-jumps to its new root; the
+    edges now inside one component are dropped.  Only the forest's edges
+    are sorted.
+    """
+    ids = np.arange(k)
+    forest = np.zeros(a.size, dtype=bool)
+    edge, w = np.arange(a.size), weight  # the edges left; a and b hold their ends' roots
+    none = np.iinfo(w.dtype).max
+    while edge.size:
+        best = np.full(k, none)
+        np.minimum.at(best, a, w)
+        np.minimum.at(best, b, w)
+        at_a = np.flatnonzero(w == best[a])  # the least edge of its a end
+        at_b = np.flatnonzero(w == best[b])
+        forest[edge[at_a]] = forest[edge[at_b]] = True
+        hook = ids.copy()
+        hook[a[at_a]] = b[at_a]
+        hook[b[at_b]] = a[at_b]
+        mutual = (hook[hook] == ids) & (ids < hook)
+        hook[mutual] = ids[mutual]
+        hook = _jump(hook)
+        a, b = hook[a], hook[b]
+        keep = np.flatnonzero(a != b)
+        a, b, w, edge = a[keep], b[keep], w[keep], edge[keep]
+    forest = np.flatnonzero(forest)
+    return forest[np.argsort(weight[forest])]
+
+
 def _descent_basins(field: ScalarField) -> tuple:
-    """``(minima, basin)``: the local minima sorted by the total order, and per
-    vertex the age of the minimum its steepest descent ends at (its index in
-    ``minima``).  Cached per field as read-only int arrays.
+    """``(minima, basin, step)``: the local minima sorted by the total order,
+    per vertex the age of the minimum its steepest descent ends at (its index
+    in ``minima``), and per vertex the rank of its first step down
+    (:func:`_steepest_step`).  Cached per field as read-only int arrays.
 
     Each vertex steps to its least-rank neighbor, or stays if none is lower;
     pointer jumping then follows every path to its end.
     """
     if field._basin_cache is None:
         order, rank = field.total_order()
-        down = _steepest_step(field)[order]  # per rank, the rank one step down
+        step = _steepest_step(field)
+        down = step[order]  # per rank, the rank one step down
         is_min = down == np.arange(down.size)
         down = _jump(down)
         age = np.cumsum(is_min) - 1
-        minima, basin = order[is_min], age[down][rank]
-        minima.flags.writeable = False
-        basin.flags.writeable = False
-        object.__setattr__(field, "_basin_cache", (minima, basin))
+        cache = (order[is_min], age[down][rank], step)
+        for column in cache:
+            column.flags.writeable = False
+        object.__setattr__(field, "_basin_cache", cache)
     return field._basin_cache
 
 

@@ -78,22 +78,33 @@ def minimal_regions(field: ScalarField) -> list:
     return order[is_rep[order]].tolist()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WatershedLabels:
-    """Per-vertex basin labels; a basin is named by its minimum's vertex id."""
+    """Per-vertex basin labels; a basin is named by its minimum's vertex id.
 
-    labels: tuple
+    The labels are kept as a read-only int array, ``_labels``;
+    :attr:`labels` builds their tuple on first use.
+    """
+
+    _labels: np.ndarray
     shape: tuple
     connectivity: Connectivity
 
+    def __post_init__(self):
+        self._labels.flags.writeable = False
+
+    @cached_property
+    def labels(self) -> tuple:
+        return tuple(self._labels.tolist())
+
     @property
     def region_count(self) -> int:
-        return len(set(self.labels))
+        return int(np.count_nonzero(np.bincount(self._labels)))
 
     def boundary_edges(self, field: ScalarField) -> set:
         """Edges (u, v), u < v, whose endpoints carry different labels."""
         heads, tails = _edge_arrays(field)
-        lab = np.array(self.labels)
+        lab = self._labels
         cut = lab[heads] != lab[tails]
         return set(zip(heads[cut].tolist(), tails[cut].tolist()))
 
@@ -174,14 +185,10 @@ def watershed_from_markers(field: ScalarField, markers) -> WatershedLabels:
     bad = np.flatnonzero((ids < 0) | (ids >= field.n_vertices))
     if bad.size:
         field.check_vertex(markers[bad[0]])  # raises, naming the first bad marker
-    minima, basin = _descent_basins(field)
+    minima, basin, _ = _descent_basins(field)
     redirect = _basin_redirects(field, minima, basin, markers)
     if redirect is not None:
-        return WatershedLabels(
-            labels=tuple(minima[redirect[basin]].tolist()),
-            shape=field.shape,
-            connectivity=field.connectivity,
-        )
+        return WatershedLabels(minima[redirect[basin]], field.shape, field.connectivity)
     order = filtration_order(field)
     rank = field.total_order()[1].tolist()
     nbrs = field.neighbor_lists()
@@ -209,7 +216,7 @@ def watershed_from_markers(field: ScalarField, markers) -> WatershedLabels:
         labels[v] = labels[best]
     if -1 in labels:
         raise UsageError("markers did not cover the field (empty marker set?)")
-    return WatershedLabels(labels=tuple(labels), shape=field.shape, connectivity=field.connectivity)
+    return WatershedLabels(np.array(labels, dtype=np.intp), field.shape, field.connectivity)
 
 
 def watershed(field: ScalarField) -> WatershedLabels:
@@ -226,13 +233,14 @@ def filter_dynamics(field: ScalarField, t: float) -> ScalarField:
     Vertices in no such component keep their value.  Values never decrease;
     the output has no surviving minimum with dynamics below ``t``.
 
-    One reverse pass over the merge tree's events.  Along the chain of deaths
-    of a vertex's descent basin (the basin's minimum, then the minimum it
-    dies into, and so on) the saddle ranks increase, and the vertex lies in
-    the dying component of a chain member exactly when its rank is below
-    that member's saddle.  So the owner is the greatest cancelled saddle on
-    the chain whenever its rank exceeds the vertex's, and otherwise no
-    cancelled pair contains the vertex.
+    Along the chain of deaths of a vertex's descent basin (the basin's
+    minimum, then the minimum it dies into, and so on) the saddle ranks
+    increase, and the vertex lies in the dying component of a chain member
+    exactly when its rank is below that member's saddle.  So the owner is the
+    greatest cancelled saddle on the chain whenever its rank exceeds the
+    vertex's, and otherwise no cancelled pair contains the vertex.  Pointer
+    doubling over the merge tree's deaths takes that greatest rank for every
+    minimum at once.
 
     ``t`` must be positive and must not equal any finite pair value, because
     the boundary case would be ambiguous; such a collision is rejected.
@@ -242,8 +250,8 @@ def filter_dynamics(field: ScalarField, t: float) -> ScalarField:
         raise UsageError(f"filter threshold must be positive and finite, got {t}")
     order, rank = field.total_order()
     tree = build_merge_tree(field)
-    dying = np.array(tree.dying_mins, dtype=np.intp)
-    value = np.array(tree.levels, dtype=np.float64) - field.values[dying]
+    dying = tree._dying_mins
+    value = tree._levels - field.values[dying]
     hit = dying[value == t]
     if hit.size:
         least = min(zip(field.values[hit].tolist(), hit.tolist()))[1]
@@ -251,14 +259,21 @@ def filter_dynamics(field: ScalarField, t: float) -> ScalarField:
             f"threshold {t} collides with the pair value {t} of minimum "
             f"{least}; pick a value strictly between pair values"
         )
-    cancelled = np.where(value < t, rank[np.array(tree.saddles, dtype=np.intp)], -1).tolist()
-    top = {}  # minimum -> greatest cancelled saddle rank on its chain of deaths
-    for dying_min, survivor, c in zip(
-        reversed(tree.dying_mins), reversed(tree.survivor_mins), reversed(cancelled)
-    ):
-        top[dying_min] = max(c, top.get(survivor, -1))
-    owner = np.array([top.get(m, -1) for m in tree.minima], dtype=np.intp)
-    owner = owner[_descent_basins(field)[1]]
+    basin = _descent_basins(field)[1]
+    ages = basin[dying]  # a minimum lies in its own basin
+    # per age, the age it dies into and its saddle's rank if cancelled, else -1
+    up = np.arange(tree._minima.size)
+    up[ages] = basin[tree._survivor_mins]
+    top = np.full(up.size, -1)
+    top[ages] = np.where(value < t, rank[tree._saddles], -1)
+    # the greatest of those ranks along each chain of deaths, by pointer doubling
+    while True:
+        top = np.maximum(top, top[up])
+        nxt = up[up]
+        if np.array_equal(nxt, up):
+            break
+        up = nxt
+    owner = top[basin]
     out = np.where(rank < owner, field.values[order[owner]], field.values)
     return ScalarField(field.shape, out, field.connectivity)
 
@@ -407,7 +422,7 @@ def saliency(field: ScalarField) -> SaliencyMap:
     this absorption tree: the threshold at which progressive cancellation
     finally fuses their regions.
     """
-    lab = np.array(watershed(field).labels, dtype=np.intp)
+    lab = watershed(field)._labels
     heads, tails = _edge_arrays(field)
     a, b = lab[heads], lab[tails]
     cut = np.flatnonzero(a != b)
@@ -419,12 +434,12 @@ def saliency(field: ScalarField) -> SaliencyMap:
             np.minimum(a[cut], b[cut]) * n + np.maximum(a[cut], b[cut]), return_inverse=True
         )
         tree = build_merge_tree(field)
-        dying = np.array(tree.dying_mins, dtype=np.intp)
-        weight = np.array(tree.levels, dtype=np.float64) - field.values[dying]
+        dying = tree._dying_mins
+        weight = tree._levels - field.values[dying]
         kruskal = np.lexsort((dying, weight))
         dying = dying[kruskal]
         # every vertex in play (dying minima, absorbing basins, pair ends) as a compact id
-        ends = (dying, lab[np.array(tree.gates, dtype=np.intp)[kruskal]], pairs // n, pairs % n)
+        ends = (dying, lab[tree._gates[kruskal]], pairs // n, pairs % n)
         nodes, compact = np.unique(np.concatenate(ends), return_inverse=True)
         child, parent, lo, hi = np.split(compact, np.cumsum([e.size for e in ends[:3]]))
         fuse = _fuse_levels(child, parent, weight[kruskal], lo, hi, nodes.size)

@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import UsageError
-from .grid import ScalarField, _descent_basins, _jump, neighbor_table, offset_slices
+from .grid import ScalarField, _boruvka, _descent_basins, neighbor_table, offset_slices
 
 INF = math.inf
 
@@ -38,14 +38,22 @@ class MergeEvent:
     level: float
 
 
-@dataclass(frozen=True)
+def _tuple_view(column: str) -> cached_property:
+    """A cached property: the numpy column ``column`` as a tuple of Python scalars."""
+    return cached_property(lambda self: tuple(getattr(self, column).tolist()))
+
+
+@dataclass(frozen=True, eq=False)
 class MergeTree:
     """Merge events in filtration order plus the minima that seeded components.
 
-    The events are stored as columns, one entry per event: ``saddles``,
-    ``survivor_mins``, ``dying_mins`` and ``levels`` hold the fields of
-    :class:`MergeEvent`, and :attr:`events` builds those objects on first use.
-    ``minima`` is in total order, so ``minima[0]`` is the essential one.
+    The events are stored as read-only numpy columns, one entry per event:
+    ``_saddles``, ``_survivor_mins``, ``_dying_mins`` and ``_levels`` hold the
+    fields of :class:`MergeEvent`, ``_gates`` the gates, and ``_minima`` the
+    minima in total order, so ``minima[0]`` is the essential one.  The public
+    ``saddles``, ``survivor_mins``, ``dying_mins``, ``levels``, ``gates`` and
+    ``minima`` are tuples of Python scalars built from those columns on first
+    use, and :attr:`events` builds the :class:`MergeEvent` objects.
 
     On a connected grid ``len(events) == len(minima) - 1``.  A vertex whose
     insertion joins k >= 2 components contributes k - 1 events at its level,
@@ -59,12 +67,24 @@ class MergeTree:
     saddle runs down to the gate.
     """
 
-    saddles: tuple
-    survivor_mins: tuple
-    dying_mins: tuple
-    levels: tuple
-    gates: tuple
-    minima: tuple
+    _saddles: np.ndarray
+    _survivor_mins: np.ndarray
+    _dying_mins: np.ndarray
+    _levels: np.ndarray
+    _gates: np.ndarray
+    _minima: np.ndarray
+
+    def __post_init__(self):
+        for column in (self._saddles, self._survivor_mins, self._dying_mins, self._levels,
+                       self._gates, self._minima):
+            column.flags.writeable = False
+
+    saddles = _tuple_view("_saddles")
+    survivor_mins = _tuple_view("_survivor_mins")
+    dying_mins = _tuple_view("_dying_mins")
+    levels = _tuple_view("_levels")
+    gates = _tuple_view("_gates")
+    minima = _tuple_view("_minima")
 
     @cached_property
     def events(self) -> tuple:
@@ -75,126 +95,95 @@ class MergeTree:
 
 def _basin_graph(field: ScalarField, rank, basin) -> tuple:
     """``(a, b, weight)``: every grid edge whose endpoints lie in different
-    descent basins, as the two basin ids and ``max(rank[u], rank[v])``."""
+    descent basins, as the two basin ids and ``max(rank) * n + min(rank)``,
+    a weight unique per edge."""
     zero = (0,) * field.ndim
     basin = basin.reshape(field.shape)
     rank = rank.reshape(field.shape)
-    a, b, weight = ([np.empty(0, dtype=np.intp)] for _ in range(3))  # a grid may have no edge
+    a, b, ra, rb = ([np.empty(0, dtype=np.intp)] for _ in range(4))  # a grid may have no edge
     for off, src, dst in offset_slices(field.shape, field.connectivity):
         if off > zero:
             bs, bd = basin[src], basin[dst]
             cut = bs != bd
             a.append(bs[cut])
             b.append(bd[cut])
-            weight.append(np.maximum(rank[src][cut], rank[dst][cut]))
-    return np.concatenate(a), np.concatenate(b), np.concatenate(weight)
-
-
-def _spanning_saddles(a, b, weight, k: int, n: int) -> np.ndarray:
-    """Distinct weights of the basin graph's minimum spanning forest, ascending.
-
-    Borůvka rounds over the ``k`` basins: every component takes its least
-    incident edge under the unique key ``weight * m + edge index``, hooks
-    along it (a mutual pair hooks toward the smaller id) and pointer-jumps to
-    its new root; the edges now inside one component are dropped.  Each round
-    at least halves the number of components that still have edges.
-    """
-    m = weight.size
-    key = weight * m + np.arange(m)
-    ids = np.arange(k)
-    root = ids  # basin -> its current component
-    spanning = np.zeros(n, dtype=bool)
-    none = np.iinfo(key.dtype).max
-    a0, b0 = a, b
-    while key.size:
-        best = np.full(k, none)
-        np.minimum.at(best, a, key)
-        np.minimum.at(best, b, key)
-        has = np.flatnonzero(best != none)
-        spanning[best[has] // m] = True
-        edge = best[has] % m
-        ends_a, ends_b = root[a0[edge]], root[b0[edge]]
-        hook = ids.copy()
-        hook[has] = np.where(ends_a == has, ends_b, ends_a)
-        mutual = (hook[hook] == ids) & (ids < hook)
-        hook[mutual] = ids[mutual]
-        hook = _jump(hook)
-        root = hook[root]
-        a, b = hook[a], hook[b]
-        keep = np.flatnonzero(a != b)
-        a, b, key = a[keep], b[keep], key[keep]
-    return np.flatnonzero(spanning)
+            ra.append(rank[src][cut])
+            rb.append(rank[dst][cut])
+    ra, rb = np.concatenate(ra), np.concatenate(rb)
+    weight = np.maximum(ra, rb) * field.n_vertices + np.minimum(ra, rb)
+    return np.concatenate(a), np.concatenate(b), weight
 
 
 def build_merge_tree(field: ScalarField) -> MergeTree:
     """Merge tree of the sublevel filtration, from its steepest-descent basins.
 
     The union-find sweep of the sublevel filtration is Kruskal's algorithm on
-    the graph of steepest-descent basins (the drop-of-water principle), so
-    only vertices carrying an edge of the basin graph's minimum spanning
-    forest can merge anything; the union-find sweep is replayed at those
-    saddles alone, in total order.
+    the graph of steepest-descent basins (the drop-of-water principle): a
+    vertex's steepest descent never rises above it, so when ``w`` enters the
+    sublevel set each lower neighbor of ``w`` is already in the component of
+    its basin's minimum.  Weigh each basin-graph edge by the ranks of its
+    ends, ``max * n + min``: the edges that ``w`` adds are those from ``w``'s
+    basin to its lower neighbors in other basins, taken in ascending rank of
+    the neighbor.  The weights are unique, so the minimum spanning forest
+    (:func:`grid._boruvka`) is the set of edges Kruskal's algorithm keeps,
+    and a path-halving union-find over its k - 1 edges, in weight order,
+    joins the components exactly as the sweep does.  Components are compact
+    basin ids (the minima's ages), a root always being its component's
+    eldest; per edge the loop records the roots of the two components it
+    joins.
 
-    Why the replay is exact: a vertex's steepest descent never rises above
-    it, so when ``w`` enters the sublevel set each lower neighbor of ``w`` is
-    already in the component of its basin's minimum.  Two basins are joined
-    below ``w`` exactly when a path of basin-graph edges lighter than
-    ``rank[w]`` links them, and any minimum spanning forest keeps that
-    connectivity.  A vertex that joins k >= 2 components carries at least one
-    forest edge (all edges of weight ``rank[w]`` meet at ``w``), and a forest
-    edge always joins two components.  Components are kept as compact basin
-    ids (the minima's ages), a root always being its component's eldest.
+    The forest edges at ``w`` form a star from the component of ``w``'s own
+    basin, which holds ``w``'s steepest step (its least lower neighbor), to
+    one edge per other component that ``w`` touches, and by the cycle
+    property that edge's lower end is the component's least lower neighbor
+    of ``w``.  So each saddle's roots and their least lower neighbors are
+    known, and numpy finishes its events: the least root survives, the
+    others die youngest first, and each gate is the least of those lower
+    neighbors over the roots older than the dying one.
     """
     order, rank = field.total_order()
-    minima, basin = _descent_basins(field)
-    k = minima.size
-    n = field.n_vertices
-    saddles = order[_spanning_saddles(*_basin_graph(field, rank, basin), k, n)]
-
-    # Lower neighbors of each saddle in total order, as one flat run per saddle.
-    nrank = neighbor_table(field.shape, field.connectivity)[saddles]
-    nrank = np.where(nrank >= 0, rank[nrank], n)
-    nrank.sort(axis=1)
-    is_lower = nrank < rank[saddles][:, None]
-    lower = order[nrank[is_lower]]
-    ends = np.cumsum(is_lower.sum(axis=1)).tolist()
-    lower_basin = basin[lower].tolist()
-    lower = lower.tolist()
-
-    mins = minima.tolist()
+    minima, basin, step = _descent_basins(field)
+    k, n = minima.size, field.n_vertices
+    a, b, weight = _basin_graph(field, rank, basin)
+    weight = weight[_boruvka(a, b, weight, k)]
+    saddle, low = np.divmod(weight, n)  # ranks of each forest edge's ends
     parent = list(range(k))
-    out_saddle, out_survivor, out_dying, out_level, out_gate = [], [], [], [], []
-    start = 0
-    for w, level, end in zip(saddles.tolist(), field.values[saddles].tolist(), ends):
-        first = {}  # root -> position of its least lower neighbor of w
-        for j in range(start, end):
-            x = lower_basin[j]
-            while parent[x] != x:
-                parent[x] = x = parent[parent[x]]
-            if x not in first:
-                first[x] = j
-        start = end
-        roots = sorted(first)
-        survivor = roots[0]
-        gate = first[survivor]
-        joins = []  # (dying root, gate position), eldest dying first
-        for r in roots[1:]:
-            joins.append((r, gate))
-            gate = min(gate, first[r])
-            parent[r] = survivor
-        for r, g in reversed(joins):
-            out_saddle.append(w)
-            out_survivor.append(mins[survivor])
-            out_dying.append(mins[r])
-            out_level.append(level)
-            out_gate.append(lower[g])
+    upper, lower = [], []  # per forest edge, the roots on its saddle's side and on the other
+    for x, y in zip(basin[order[saddle]].tolist(), basin[order[low]].tolist()):
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        while parent[y] != y:
+            parent[y] = y = parent[parent[y]]
+        upper.append(x)
+        lower.append(y)
+        if x < y:
+            parent[y] = x
+        else:
+            parent[x] = y
+
+    heads = np.flatnonzero(np.diff(saddle, prepend=-1))  # each saddle's first forest edge
+    # One row per component that a saddle joins: the saddle's rank, the
+    # component's root and its least lower neighbor of the saddle (a rank).
+    at = np.concatenate((saddle[heads], saddle))
+    upper, lower = np.array(upper, dtype=np.intp), np.array(lower, dtype=np.intp)
+    root = np.concatenate((upper[heads], lower))
+    least = np.concatenate((step[order[saddle[heads]]], low))
+    rows = np.argsort(at * k - root)  # by saddle, then roots descending: the survivor last
+    at, root, least = at[rows], root[rows], least[rows]
+    shift = at * n  # keeps each saddle's running minimum to its own rows
+    gate = np.minimum.accumulate((least + shift)[::-1])[::-1] - shift
+    last = np.ones(at.size, dtype=bool)
+    last[:-1] = at[:-1] != at[1:]
+    dies = np.flatnonzero(~last)
+    saddles = order[at[dies]]
+    # a dying row's count of last rows before it is its saddle's index among them
     return MergeTree(
-        saddles=tuple(out_saddle),
-        survivor_mins=tuple(out_survivor),
-        dying_mins=tuple(out_dying),
-        levels=tuple(out_level),
-        gates=tuple(out_gate),
-        minima=tuple(mins),
+        _saddles=saddles,
+        _survivor_mins=minima[root[last][np.cumsum(last)[dies]]],
+        _dying_mins=minima[root[dies]],
+        _levels=field.values[saddles],
+        _gates=order[gate[dies + 1]],
+        _minima=minima,
     )
 
 
@@ -287,15 +276,13 @@ def _persistence_columns(field: ScalarField) -> _PairColumns:
     """The pairs of :func:`pair_by_persistence` as columns, built from the
     merge tree's event columns without a per-pair object."""
     tree = build_merge_tree(field)
-    mins = np.array(tree.dying_mins, dtype=np.intp)
+    mins, deaths = tree._dying_mins, tree._levels
     births = field.values[mins]
-    deaths = np.array(tree.levels, dtype=np.float64)
     essential = None
-    if tree.minima:
-        m0 = tree.minima[0]
-        essential = (m0, float(field.values[m0]))
-    saddles = np.array(tree.saddles, dtype=np.intp)
-    return _sorted_pairs(mins, saddles, births, deaths, deaths - births, essential)
+    if tree._minima.size:
+        m0 = tree._minima.item(0)
+        essential = (m0, field.values.item(m0))
+    return _sorted_pairs(mins, tree._saddles, births, deaths, deaths - births, essential)
 
 
 def pair_by_persistence(field: ScalarField) -> list:

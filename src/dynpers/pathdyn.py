@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .errors import UsageError
-from .grid import ScalarField, _jump, offset_slices
+from .grid import ScalarField, _boruvka, _jump, offset_slices
 
 INF = math.inf
 
@@ -79,6 +79,10 @@ def oracle_columns(field: ScalarField) -> tuple:
     key: it answers a vertex that is no local minimum and is never replayed.
     The components left are trees hanging from the local minima; the later
     rounds run on the grid edges between them.
+
+    From :mod:`dynpers.grid` the oracle takes only ``offset_slices``,
+    ``_jump`` and ``_boruvka`` (which the merge tree runs on its own keys),
+    never the total order or the descent basins.
     """
     if field._oracle_cache is None:
         n = field.n_vertices
@@ -97,10 +101,8 @@ def oracle_columns(field: ScalarField) -> tuple:
         # per vertex, its tree; tree ids ascend with their minima's keys
         basin = (np.cumsum(is_min) - 1)[_jump(down)][key]
         a, b, weight = _cut_edges(slices, key, basin, n)
-        order = np.argsort(weight)
-        a, b, weight = a[order], b[order], weight[order]
         k = int(is_min.sum())
-        forest = _boruvka(a, b, k)
+        forest = _boruvka(a, b, weight, k)
         dying = _elder_rule(a[forest].tolist(), b[forest].tolist(), k)
 
         mins = verts[np.flatnonzero(is_min)]
@@ -130,36 +132,6 @@ def _cut_edges(slices, key, basin, n: int) -> tuple:
             b.append(bd[cut])
             weight.append(np.maximum(ks, kd) * n + np.minimum(ks, kd))
     return np.concatenate(a), np.concatenate(b), np.concatenate(weight)
-
-
-def _boruvka(a, b, k: int) -> np.ndarray:
-    """Mask of the minimum spanning forest's edges ``(a[i], b[i])`` over
-    ``k`` nodes, the edges sorted by weight.
-
-    Every component takes its least incident edge, hooks along it (a mutual
-    pair hooks toward the smaller id) and pointer-jumps to its new root; the
-    edges now inside one component are dropped.
-    """
-    ids = np.arange(k)
-    forest = np.zeros(a.size, dtype=bool)
-    edge = np.arange(a.size)  # the edges left, ascending; a and b hold their ends' roots
-    while edge.size:
-        pos = np.arange(edge.size)
-        best = np.full(k, edge.size)
-        np.minimum.at(best, a, pos)
-        np.minimum.at(best, b, pos)
-        has = np.flatnonzero(best < edge.size)
-        least = best[has]
-        forest[edge[least]] = True
-        hook = ids.copy()
-        hook[has] = np.where(a[least] == has, b[least], a[least])
-        mutual = (hook[hook] == ids) & (ids < hook)
-        hook[mutual] = ids[mutual]
-        hook = _jump(hook)
-        a, b = hook[a], hook[b]
-        keep = np.flatnonzero(a != b)
-        a, b, edge = a[keep], b[keep], edge[keep]
-    return forest
 
 
 def _elder_rule(a: list, b: list, k: int) -> np.ndarray:

@@ -833,6 +833,22 @@ class TestColumnarPaths:
             code, out, err = run_main(argv, self.FIELD, capsys, monkeypatch)
             assert code == 0 and err == "" and out, argv
 
+    def test_dense_commands_build_no_tuple_view(self, capsys, monkeypatch):
+        # the merge tree's and the watershed's consumers read their numpy
+        # columns; the public tuples are built only for callers that ask
+        def forbidden(self):
+            raise AssertionError("a command built a public tuple view")
+
+        for name in ("saddles", "survivor_mins", "dying_mins", "levels", "gates", "minima",
+                     "events"):
+            monkeypatch.setattr(pairing.MergeTree, name, property(forbidden))
+        monkeypatch.setattr(morphology.WatershedLabels, "labels", property(forbidden))
+        for argv in (["segment", "--t", "1.5"], ["saliency"], ["curve"],
+                     ["pairs", "--method", "both"], ["filter", "--t", "1.5"], ["watershed"],
+                     ["verify", "--trials", "1", "--shape", "6x7"]):
+            code, out, err = run_main(argv, self.FIELD, capsys, monkeypatch)
+            assert code == 0 and err == "" and out, argv
+
     def test_one_vertex_field_with_fourteen_axes(self, capsys, monkeypatch):
         # a cheap guard first: with offsets along extent-1 axes, the request
         # below would build 3**14 - 1 of them and run out of memory

@@ -175,6 +175,18 @@ class TestWatershed:
         assert watershed(filtered).labels == (3, 3, 3, 3, 3)
 
 
+class TestWatershedLabelsArray:
+    def test_array_core_and_tuple_view(self):
+        flood = ScalarField((4, 3), [2, 2, 1, 1, 2, 1, 2, 1, 1, 0, 1, 2])
+        for ws in (watershed(SIGNAL), watershed(GRID33), watershed(random_field(4, conn="full")),
+                   watershed_from_markers(flood, [9, 3, 2])):  # the last one floods
+            core = ws._labels
+            assert core.dtype == np.intp and not core.flags.writeable
+            assert ws.labels == tuple(core.tolist()) and ws.labels is ws.labels
+            assert all(type(label) is int for label in ws.labels)
+            assert type(ws.region_count) is int and ws.region_count == len(set(ws.labels))
+
+
 class TestDescentBasinCache:
     def test_computed_once_per_field_and_read_only(self, monkeypatch):
         from dynpers import grid

@@ -1,3 +1,4 @@
+import collections
 import io
 import itertools
 import math
@@ -25,7 +26,7 @@ from dynpers import (
     pairs_to_json,
     persistence_diagram,
 )
-from dynpers import cli
+from dynpers import cli, grid, morphology, pairing
 from dynpers.equivalence import GeneratorSpec, generate
 from dynpers.pairing import _dynamics_columns, _persistence_columns, _sorted_pairs
 from fields import GRIDS_4D, tie_heavy_fields
@@ -363,7 +364,14 @@ class TestMergeTreeAgainstSweep:
         assert repr(tree.events) == repr(tuple(MergeEvent(*ev) for ev in events))
         assert tree.minima == minima
         assert tree.gates == gates
-        assert all(type(m) is int for m in tree.minima + tree.gates)
+        ints = tree.saddles + tree.survivor_mins + tree.dying_mins + tree.gates + tree.minima
+        assert all(type(m) is int for m in ints)
+        assert all(type(level) is float for level in tree.levels)
+        for name in ("saddles", "survivor_mins", "dying_mins", "levels", "gates", "minima"):
+            column = getattr(tree, "_" + name)
+            assert column.dtype == (np.float64 if name == "levels" else np.intp), name
+            assert not column.flags.writeable, name
+            assert getattr(tree, name) == tuple(column.tolist()), name
         # both routes return the list the sweep's events gave before the
         # pairs became columns; repr keeps the sign of zero values
         expected = repr(reference_pairs(field, events, minima))
@@ -382,6 +390,34 @@ class TestMergeTreeAgainstSweep:
         rng = np.random.default_rng(31)
         for shape, conn in (((40, 40), "axis"), ((9, 8, 7), "full"), ((5, 4, 6, 3), "axis")):
             self.check(ScalarField(shape, rng.uniform(size=int(np.prod(shape))), conn))
+
+    def test_nested_comb(self):
+        # 2,001 minima on 4,001 vertices, each basin nested in the next: one
+        # chain of deaths 2,000 deep, read from either end
+        k = 2001
+        vals = np.empty(2 * k - 1)
+        vals[0::2] = -np.arange(k)
+        jitter = np.random.default_rng(4001).uniform(0.0, 0.0005, k - 1)
+        vals[1::2] = 0.5 + 0.001 * np.arange(k - 1) + jitter
+        for v in (vals, vals[::-1]):
+            self.check(ScalarField(v.shape, v))
+
+    def test_multiway_saddles_4d_full(self):
+        # small-integer 3x3x3x3 fields: the 16 corners are low, the centre sees
+        # all of them, and edge midpoints tied with it may join some corners first
+        rng = np.random.default_rng(81)
+        coords = np.indices((3, 3, 3, 3)).reshape(4, -1)
+        ones = (coords == 1).sum(axis=0)
+        widest = []
+        for _ in range(12):
+            vals = rng.integers(3, 5, 81).astype(float)
+            vals[ones == 0] = rng.integers(0, 2, 16)
+            vals[ones == 1] = rng.integers(2, 5, 32)
+            vals[40] = 2.0  # the centre
+            f = ScalarField((3, 3, 3, 3), vals, "full")
+            self.check(f)
+            widest.append(max(collections.Counter(build_merge_tree(f).saddles).values()))
+        assert min(widest) >= 3  # every field has a saddle joining four or more components
 
     @settings(max_examples=150)
     @given(
@@ -411,6 +447,16 @@ class TestPersistenceRouteBuildsNoNeighborLists:
             f = self.fresh()
             run(f)
             assert f._neighbor_cache is None
+
+    def test_merge_tree_consumers_build_no_neighbor_table(self, monkeypatch):
+        # the tree reads the grid through offset slices and the descent basins
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the merge tree built the neighbor table")
+
+        for module in (grid, pairing, morphology):
+            monkeypatch.setattr(module, "neighbor_table", forbidden)
+        for run in (build_merge_tree, _persistence_columns, lambda f: filter_dynamics(f, 1.5)):
+            run(self.fresh())
 
     def test_dynamics_route_and_verify_build_none_either(self, capsys, monkeypatch):
         # the flood walks lower-neighbor rows and the oracle the offset slices
