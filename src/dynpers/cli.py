@@ -19,10 +19,10 @@ import numpy as np
 
 from .errors import DivergenceError, FormatError, UsageError
 from .grid import Connectivity, ScalarField
-from .formats import parse_field, sniff_format, write_field
+from .formats import FORMATS, _read_ascii, parse_field, sniff_format, write_field
 from .pairing import _dynamics_columns, _persistence_columns
 from .pathdyn import dynamics_oracle
-from .equivalence import GeneratorSpec, generate, sweep
+from .equivalence import KINDS, GeneratorSpec, generate, sweep
 from .morphology import (
     _curve_columns,
     _curve_json,
@@ -54,20 +54,10 @@ def _parse_shape(text: str) -> tuple:
 
 
 def _read_input(path: str, fmt: str | None, connectivity, invert: bool):
-    source = "stdin" if path == "-" else path
     try:
-        if path == "-":
-            text = sys.stdin.read()
-        else:
-            with open(path, "r", encoding="ascii") as fh:
-                text = fh.read()
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{source}: non-ASCII byte at offset {exc.start}") from None
+        text = _read_ascii(sys.stdin, "stdin") if path == "-" else _read_ascii(path, path)
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc}") from None
-    if not text.isascii():
-        offset = next(i for i, ch in enumerate(text) if not ch.isascii())
-        raise FormatError(f"{source}: non-ASCII character at offset {offset}")
     if fmt is None:
         fmt = sniff_format(text)
     field = parse_field(text, fmt, connectivity)
@@ -236,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--connectivity",
-        choices=["axis", "full"],
+        choices=[c.value for c in Connectivity],
         default="axis",
         help="grid neighborhood (default: axis)",
     )
@@ -249,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_input(p):
         p.add_argument("input", nargs="?", default="-", help="input field path or - for stdin")
-        p.add_argument("--format", choices=["csv-1d", "pgm-2d", "field-nd"], default=None)
+        p.add_argument("--format", choices=FORMATS, default=None)
         p.add_argument("--output", default="-", help="output path or - for stdout")
 
     p = sub.add_parser("pairs", help="minimum/saddle pairs as JSON")
@@ -275,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("filter", help="cancel all pairs below a dynamics threshold")
     add_input(p)
     p.add_argument("--t", type=float, required=True)
-    p.add_argument("--output-format", choices=["csv-1d", "pgm-2d", "field-nd"], default=None)
+    p.add_argument("--output-format", choices=FORMATS, default=None)
 
     p = sub.add_parser(
         "watershed",
@@ -296,8 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=float, required=True)
 
     p = sub.add_parser("verify", help="equivalence sweep over generated fields")
-    p.add_argument("--kind", choices=["gaussian_mixture", "poly_sine_1d", "uniform_random"],
-                   default="uniform_random")
+    p.add_argument("--kind", choices=KINDS, default="uniform_random")
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--shape", default="64")
     p.add_argument("--seed", type=int, default=0)
@@ -308,14 +297,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", default="-")
 
     p = sub.add_parser("gen", help="write a seeded test field")
-    p.add_argument("--kind", choices=["gaussian_mixture", "poly_sine_1d", "uniform_random"],
-                   default="uniform_random")
+    p.add_argument("--kind", choices=KINDS, default="uniform_random")
     p.add_argument("--shape", required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--bumps", type=int, default=3)
     p.add_argument("--amp", default="0:1", help="amplitude range lo:hi")
     p.add_argument("--output", default="-")
-    p.add_argument("--output-format", choices=["csv-1d", "pgm-2d", "field-nd"], default=None)
+    p.add_argument("--output-format", choices=FORMATS, default=None)
 
     return parser
 

@@ -193,22 +193,14 @@ def _divergent_minimum(field, per_pairs, dyn_pairs, check_oracle) -> tuple:
 
 
 def verify_equivalence(
-    field: ScalarField,
-    spec: GeneratorSpec | None = None,
-    check_oracle: bool = True,
-    dynamics_fn=None,
-    persistence_fn=None,
+    field: ScalarField, spec: GeneratorSpec | None = None, check_oracle: bool = True
 ) -> EquivalenceReport:
     """Run both pairings (and the path oracle) on one field and compare.
 
-    Disagreement is a report outcome, not an error.  ``dynamics_fn`` /
-    ``persistence_fn`` exist so tests can inject a corrupted pairing and watch
-    the report catch it.
+    Disagreement is a report outcome, not an error.
     """
-    dynamics_fn = dynamics_fn or _dynamics_columns
-    persistence_fn = persistence_fn or _persistence_columns
-    per = persistence_fn(field)
-    dyn = dynamics_fn(field)
+    per = _persistence_columns(field)
+    dyn = _dynamics_columns(field)
     bad, worst = _divergent_minimum(field, per, dyn, check_oracle)
     if bad is None:
         return EquivalenceReport(fields_tested=1, pairings_identical=True)
@@ -222,9 +214,9 @@ def verify_equivalence(
     )
 
 
-def _shrink(field, spec, check_oracle, dynamics_fn, persistence_fn) -> EquivalenceReport:
+def _shrink(field, spec, check_oracle) -> EquivalenceReport:
     """Drop trailing leading-axis rows (vertices, in 1D) while divergence persists."""
-    report = verify_equivalence(field, spec, check_oracle, dynamics_fn, persistence_fn)
+    report = verify_equivalence(field, spec, check_oracle)
     current = field
     while current.shape[0] > 2:
         rows = current.shape[0] - 1
@@ -232,20 +224,14 @@ def _shrink(field, spec, check_oracle, dynamics_fn, persistence_fn) -> Equivalen
         smaller = ScalarField(
             (rows,) + current.shape[1:], current.values[: rows * rest], current.connectivity
         )
-        attempt = verify_equivalence(smaller, spec, check_oracle, dynamics_fn, persistence_fn)
+        attempt = verify_equivalence(smaller, spec, check_oracle)
         if attempt.pairings_identical:
             break
         current, report = smaller, attempt
     return report
 
 
-def sweep(
-    specs,
-    fail_fast: bool = False,
-    check_oracle: bool = True,
-    dynamics_fn=None,
-    persistence_fn=None,
-) -> EquivalenceReport:
+def sweep(specs, fail_fast: bool = False, check_oracle: bool = True) -> EquivalenceReport:
     """Fold single-field reports over a spec list, one field after another.
 
     ``first_counterexample`` follows spec-list order; with ``fail_fast`` the
@@ -254,9 +240,9 @@ def sweep(
     reports = []
     for spec in specs:
         field = generate(spec)
-        report = verify_equivalence(field, spec, check_oracle, dynamics_fn, persistence_fn)
+        report = verify_equivalence(field, spec, check_oracle)
         if not report.pairings_identical:
-            report = _shrink(field, spec, check_oracle, dynamics_fn, persistence_fn)
+            report = _shrink(field, spec, check_oracle)
         reports.append(report)
         if fail_fast and not report.pairings_identical:
             break

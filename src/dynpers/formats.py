@@ -37,13 +37,31 @@ def read_field(source, fmt: str | None = None, connectivity=Connectivity.AXIS) -
     ``fmt`` is as for :func:`parse_field`.
     """
     if hasattr(source, "read"):
-        text = source.read()
+        text = _read_ascii(source, getattr(source, "name", "input"))
     elif isinstance(source, (str, os.PathLike)):
-        with open(source, "r", encoding="ascii") as fh:
-            text = fh.read()
+        text = _read_ascii(source, os.fspath(source))
     else:
         raise FormatError(f"cannot read field from {source!r}")
     return parse_field(text, fmt, connectivity)
+
+
+def _read_ascii(source, name: str) -> str:
+    """The text of a path or a file object, which must be ASCII throughout;
+    ``name`` names the source in the error.  A path is decoded as ASCII, so
+    its error gives a byte offset; a file object's text is checked as read,
+    so its error gives a character offset."""
+    try:
+        if hasattr(source, "read"):
+            text = source.read()
+        else:
+            with open(source, "r", encoding="ascii") as fh:
+                text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{name}: non-ASCII byte at offset {exc.start}") from None
+    if not text.isascii():
+        offset = next(i for i, ch in enumerate(text) if not ch.isascii())
+        raise FormatError(f"{name}: non-ASCII character at offset {offset}")
+    return text
 
 
 def parse_field(text: str, fmt: str | None = None, connectivity=Connectivity.AXIS) -> ScalarField:

@@ -205,12 +205,15 @@ def neighbors(field: ScalarField, v: int) -> list:
     return list(field.neighbor_lists()[v])
 
 
-def _steepest_step(field: ScalarField) -> np.ndarray:
-    """Per vertex, the least rank among the vertex and its neighbors."""
-    rank = field.total_order()[1].reshape(field.shape)
-    low = rank.copy()
-    for _, src, dst in offset_slices(field.shape, field.connectivity):
-        np.minimum(low[src], rank[dst], out=low[src])
+def _least_key(key, slices) -> np.ndarray:
+    """Per vertex, the least key among the vertex and its neighbors, flat.
+
+    ``key`` is an integer array of the grid's shape and ``slices`` its
+    :func:`offset_slices`.
+    """
+    low = key.copy()
+    for _, src, dst in slices:
+        np.minimum(low[src], key[dst], out=low[src])
     return low.reshape(-1)
 
 
@@ -221,7 +224,8 @@ def local_minima(field: ScalarField) -> list:
     this is exactly the set of strict value minima.
     """
     order, rank = field.total_order()
-    return order[(_steepest_step(field) == rank)[order]].tolist()
+    low = _least_key(rank.reshape(field.shape), offset_slices(field.shape, field.connectivity))
+    return order[(low == rank)[order]].tolist()
 
 
 def _jump(parent: np.ndarray) -> np.ndarray:
@@ -267,23 +271,56 @@ def _boruvka(a, b, weight, k: int) -> np.ndarray:
     return forest[np.argsort(weight[forest])]
 
 
+def _descent(key, slices) -> tuple:
+    """``(step, is_min, tree)`` of the steepest descent over a key permutation.
+
+    ``key`` is a permutation of ``0 .. n - 1`` in the grid's shape and
+    ``slices`` its :func:`offset_slices`.  Each vertex steps to its least-key
+    neighbor, or stays if none is lower; pointer jumping then follows every
+    path to its end.  ``step`` is, per vertex, the key of its first step
+    (:func:`_least_key`), ``is_min``, per key, whether that key's vertex is a
+    local minimum, and ``tree``, per vertex, the age of the minimum its
+    descent ends at: the minimum's index among the minima in key order.
+    """
+    step = _least_key(key, slices)
+    flat = key.reshape(-1)
+    down = np.empty_like(step)
+    down[flat] = step  # per key, the key one step down
+    is_min = down == np.arange(down.size)
+    return step, is_min, (np.cumsum(is_min) - 1)[_jump(down)][flat]
+
+
+def _cut_edges(key, label, slices) -> tuple:
+    """``(a, b, weight)``: every grid edge whose ends carry different labels,
+    as the two labels and ``max(key) * n + min(key)``, a weight unique per
+    edge.  ``key`` is a permutation of ``0 .. n - 1`` in the grid's shape,
+    ``label`` one integer per vertex and ``slices`` the :func:`offset_slices`.
+    """
+    zero = (0,) * key.ndim
+    label = label.reshape(key.shape)
+    a, b, weight = ([np.empty(0, dtype=np.intp)] for _ in range(3))  # a grid may have no edge
+    for off, src, dst in slices:
+        if off > zero:
+            ls, ld = label[src], label[dst]
+            cut = ls != ld
+            ks, kd = key[src][cut], key[dst][cut]
+            a.append(ls[cut])
+            b.append(ld[cut])
+            weight.append(np.maximum(ks, kd) * key.size + np.minimum(ks, kd))
+    return np.concatenate(a), np.concatenate(b), np.concatenate(weight)
+
+
 def _descent_basins(field: ScalarField) -> tuple:
     """``(minima, basin, step)``: the local minima sorted by the total order,
     per vertex the age of the minimum its steepest descent ends at (its index
-    in ``minima``), and per vertex the rank of its first step down
-    (:func:`_steepest_step`).  Cached per field as read-only int arrays.
-
-    Each vertex steps to its least-rank neighbor, or stays if none is lower;
-    pointer jumping then follows every path to its end.
+    in ``minima``), and per vertex the rank of its first step down: the
+    :func:`_descent` of the ranks.  Cached per field as read-only int arrays.
     """
     if field._basin_cache is None:
         order, rank = field.total_order()
-        step = _steepest_step(field)
-        down = step[order]  # per rank, the rank one step down
-        is_min = down == np.arange(down.size)
-        down = _jump(down)
-        age = np.cumsum(is_min) - 1
-        cache = (order[is_min], age[down][rank], step)
+        slices = offset_slices(field.shape, field.connectivity)
+        step, is_min, basin = _descent(rank.reshape(field.shape), slices)
+        cache = (order[is_min], basin, step)
         for column in cache:
             column.flags.writeable = False
         object.__setattr__(field, "_basin_cache", cache)

@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import UsageError
-from .grid import ScalarField, _boruvka, _descent_basins, neighbor_table, offset_slices
+from .grid import ScalarField, _boruvka, _cut_edges, _descent_basins, neighbor_table, offset_slices
 
 INF = math.inf
 
@@ -93,27 +93,6 @@ class MergeTree:
         )
 
 
-def _basin_graph(field: ScalarField, rank, basin) -> tuple:
-    """``(a, b, weight)``: every grid edge whose endpoints lie in different
-    descent basins, as the two basin ids and ``max(rank) * n + min(rank)``,
-    a weight unique per edge."""
-    zero = (0,) * field.ndim
-    basin = basin.reshape(field.shape)
-    rank = rank.reshape(field.shape)
-    a, b, ra, rb = ([np.empty(0, dtype=np.intp)] for _ in range(4))  # a grid may have no edge
-    for off, src, dst in offset_slices(field.shape, field.connectivity):
-        if off > zero:
-            bs, bd = basin[src], basin[dst]
-            cut = bs != bd
-            a.append(bs[cut])
-            b.append(bd[cut])
-            ra.append(rank[src][cut])
-            rb.append(rank[dst][cut])
-    ra, rb = np.concatenate(ra), np.concatenate(rb)
-    weight = np.maximum(ra, rb) * field.n_vertices + np.minimum(ra, rb)
-    return np.concatenate(a), np.concatenate(b), weight
-
-
 def build_merge_tree(field: ScalarField) -> MergeTree:
     """Merge tree of the sublevel filtration, from its steepest-descent basins.
 
@@ -144,7 +123,8 @@ def build_merge_tree(field: ScalarField) -> MergeTree:
     order, rank = field.total_order()
     minima, basin, step = _descent_basins(field)
     k, n = minima.size, field.n_vertices
-    a, b, weight = _basin_graph(field, rank, basin)
+    slices = offset_slices(field.shape, field.connectivity)
+    a, b, weight = _cut_edges(rank.reshape(field.shape), basin, slices)
     weight = weight[_boruvka(a, b, weight, k)]
     saddle, low = np.divmod(weight, n)  # ranks of each forest edge's ends
     parent = list(range(k))

@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .errors import UsageError
-from .grid import ScalarField, _boruvka, _jump, offset_slices
+from .grid import ScalarField, _boruvka, _cut_edges, _descent, offset_slices
 
 INF = math.inf
 
@@ -77,12 +77,14 @@ def oracle_columns(field: ScalarField) -> tuple:
     with a lower neighbor hooks along it.  That edge is the vertex's lightest
     of all, so Kruskal adds it while the vertex is still alone and at its own
     key: it answers a vertex that is no local minimum and is never replayed.
-    The components left are trees hanging from the local minima; the later
-    rounds run on the grid edges between them.
+    The components left are trees hanging from the local minima
+    (:func:`grid._descent` of the keys); the later rounds run on the grid
+    edges between them (:func:`grid._cut_edges`).
 
     From :mod:`dynpers.grid` the oracle takes only ``offset_slices``,
-    ``_jump`` and ``_boruvka`` (which the merge tree runs on its own keys),
-    never the total order or the descent basins.
+    ``_descent``, ``_cut_edges`` and ``_boruvka``, which the merge tree runs
+    on its own keys, the ranks; it never builds the total order or the
+    field's descent basins.
     """
     if field._oracle_cache is None:
         n = field.n_vertices
@@ -91,16 +93,9 @@ def oracle_columns(field: ScalarField) -> tuple:
         key = np.empty(n, dtype=np.intp)
         key[verts] = np.arange(n)
         key = key.reshape(shape)
-        low = key.copy()  # per vertex, its own key or its least neighbor's
         slices = offset_slices(shape, conn)
-        for _, src, dst in slices:
-            np.minimum(low[src], key[dst], out=low[src])
-        down = np.empty(n, dtype=np.intp)
-        down[key.reshape(-1)] = low.reshape(-1)  # per key, the key it hooks to
-        is_min = down == np.arange(n)
-        # per vertex, its tree; tree ids ascend with their minima's keys
-        basin = (np.cumsum(is_min) - 1)[_jump(down)][key]
-        a, b, weight = _cut_edges(slices, key, basin, n)
+        _, is_min, tree = _descent(key, slices)  # tree ids ascend with their minima's keys
+        a, b, weight = _cut_edges(key, tree, slices)
         k = int(is_min.sum())
         forest = _boruvka(a, b, weight, k)
         dying = _elder_rule(a[forest].tolist(), b[forest].tolist(), k)
@@ -116,22 +111,6 @@ def oracle_columns(field: ScalarField) -> tuple:
         witness.flags.writeable = False
         object.__setattr__(field, "_oracle_cache", (value, witness))
     return field._oracle_cache
-
-
-def _cut_edges(slices, key, basin, n: int) -> tuple:
-    """``(a, b, weight)``: every grid edge whose ends lie in different trees,
-    as the two tree ids and ``max(key) * n + min(key)``."""
-    zero = (0,) * key.ndim
-    a, b, weight = ([np.empty(0, dtype=np.intp)] for _ in range(3))  # a grid may have no edge
-    for off, src, dst in slices:
-        if off > zero:
-            bs, bd = basin[src], basin[dst]
-            cut = bs != bd
-            ks, kd = key[src][cut], key[dst][cut]
-            a.append(bs[cut])
-            b.append(bd[cut])
-            weight.append(np.maximum(ks, kd) * n + np.minimum(ks, kd))
-    return np.concatenate(a), np.concatenate(b), np.concatenate(weight)
 
 
 def _elder_rule(a: list, b: list, k: int) -> np.ndarray:

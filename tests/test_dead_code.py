@@ -1,0 +1,62 @@
+"""Dead-code guard over the package sources, by the standard library's ast."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "dynpers"
+MODULES = sorted(SRC.glob("*.py"))
+
+
+def parse(path):
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def loaded_names(tree) -> set:
+    """Every name the module reads, as a bare name or as an attribute, plus
+    the names its ``__all__`` exports."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            names.update(ast.literal_eval(node.value))
+    return names
+
+
+def test_the_package_is_scanned():
+    assert {"grid.py", "pairing.py", "pathdyn.py", "__init__.py"} <= {p.name for p in MODULES}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_import_is_used(path):
+    tree = parse(path)
+    used = loaded_names(tree)
+    imported = []
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported += [(a.asname or a.name).split(".")[0] for a in node.names]
+    assert [name for name in imported if name not in used] == []
+
+
+def test_every_private_definition_is_referenced():
+    trees = {path.name: parse(path) for path in MODULES}
+    private = {
+        (name, node.name)
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_")
+    }
+    used = set().union(*map(loaded_names, trees.values()))
+    for tree in trees.values():  # a name imported from a sibling module is referenced there
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                used.update(a.name for a in node.names)
+    assert sorted(f"{m}:{name}" for m, name in private if name not in used) == []

@@ -13,8 +13,23 @@ from dynpers import (
     sweep,
     verify_equivalence,
 )
+from dynpers import equivalence
 
 SIGNAL = ScalarField((5,), [5, 1, 4, 0, 6])
+
+
+def inject_dynamics(monkeypatch, route):
+    """Make the checks run ``route`` in place of the dynamics pairing."""
+    monkeypatch.setattr(equivalence, "_dynamics_columns", route)
+
+
+def drop_one(field):
+    """The dynamics pairing without its last finite pair."""
+    pairs = pair_by_dynamics(field)
+    finite = [p for p in pairs if not p.is_essential]
+    if finite:
+        pairs = [p for p in pairs if p is not finite[-1]]
+    return pairs
 
 
 class TestGenerate:
@@ -65,7 +80,7 @@ class TestVerifyEquivalence:
         g = ScalarField((3, 3), [9, 8, 10, 2, 7, 3, 11, 12, 13])
         assert verify_equivalence(g).pairings_identical
 
-    def test_detects_value_corruption(self):
+    def test_detects_value_corruption(self, monkeypatch):
         def corrupted(field):
             pairs = pair_by_dynamics(field)
             out = []
@@ -75,7 +90,8 @@ class TestVerifyEquivalence:
                 out.append(p)
             return out
 
-        report = verify_equivalence(SIGNAL, dynamics_fn=corrupted)
+        inject_dynamics(monkeypatch, corrupted)
+        report = verify_equivalence(SIGNAL)
         assert not report.pairings_identical
         assert report.first_counterexample == (None, 1)
         assert report.max_value_discrepancy == 0.5
@@ -119,16 +135,10 @@ class TestSweep:
         assert report.fields_tested == 200
         assert report.pairings_identical
 
-    def test_fault_injection_populates_counterexample(self):
-        def drop_one(field):
-            pairs = pair_by_dynamics(field)
-            finite = [p for p in pairs if not p.is_essential]
-            if finite:
-                pairs = [p for p in pairs if p is not finite[-1]]
-            return pairs
-
+    def test_fault_injection_populates_counterexample(self, monkeypatch):
+        inject_dynamics(monkeypatch, drop_one)
         specs = [GeneratorSpec("uniform_random", (24,), seed=s) for s in range(5)]
-        report = sweep(specs, check_oracle=False, dynamics_fn=drop_one)
+        report = sweep(specs, check_oracle=False)
         assert not report.pairings_identical
         assert report.first_counterexample is not None
         spec, bad_min = report.first_counterexample
@@ -137,9 +147,7 @@ class TestSweep:
         # the counterexample was shrunk but still diverges
         assert report.counterexample_shape is not None
         shrunk = ScalarField(report.counterexample_shape, report.counterexample_values)
-        assert not verify_equivalence(
-            shrunk, check_oracle=False, dynamics_fn=drop_one
-        ).pairings_identical
+        assert not verify_equivalence(shrunk, check_oracle=False).pairings_identical
 
     # uniform_random seed 0's first values; the shrinker keeps a prefix
     SHRUNK_1D = (0.6369616873214543, 0.2697867137638703, 0.04097352393619469,
@@ -154,26 +162,21 @@ class TestSweep:
         ((6, 5), (3, 5), 3, SHRUNK_2D),
     ], ids=["1d", "2d"])
     def test_shrinker_keeps_the_least_diverging_prefix(self, shape, shrunk_shape, bad_min,
-                                                       values):
-        def drop_one(field):  # the hook of test_fault_injection_populates_counterexample
-            pairs = pair_by_dynamics(field)
-            finite = [p for p in pairs if not p.is_essential]
-            if finite:
-                pairs = [p for p in pairs if p is not finite[-1]]
-            return pairs
-
+                                                       values, monkeypatch):
+        inject_dynamics(monkeypatch, drop_one)
         spec = GeneratorSpec("uniform_random", shape, seed=0)
-        report = sweep([spec], check_oracle=False, dynamics_fn=drop_one)
+        report = sweep([spec], check_oracle=False)
         assert report.first_counterexample == (spec, bad_min)
         assert report.counterexample_shape == shrunk_shape
         assert report.counterexample_values == values
 
-    def test_fail_fast_stops_early(self):
+    def test_fail_fast_stops_early(self, monkeypatch):
         def always_empty(field):
             return [p for p in pair_by_dynamics(field) if p.is_essential]
 
+        inject_dynamics(monkeypatch, always_empty)
         specs = [GeneratorSpec("uniform_random", (24,), seed=s) for s in range(10)]
-        report = sweep(specs, fail_fast=True, check_oracle=False, dynamics_fn=always_empty)
+        report = sweep(specs, fail_fast=True, check_oracle=False)
         assert report.fields_tested == 1
 
     def test_reports_deterministic(self):

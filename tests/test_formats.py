@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -123,3 +125,18 @@ def test_read_field_takes_a_path_or_a_file_object(tmp_path):
     # a string is always a path, never field text
     with pytest.raises(FileNotFoundError):
         read_field("5\n1\n4\n0\n6\n")
+
+
+@pytest.mark.parametrize("data, offset", [
+    (b"\xef\xbb\xbf5\n1\n4\n", 0),  # a UTF-8 byte order mark
+    (b"5\n1\n\xc3\xa9\n", 4),  # e acute in UTF-8
+], ids=["bom", "c3"])
+def test_read_field_rejects_non_ascii(tmp_path, data, offset):
+    path = tmp_path / "field.csv"
+    path.write_bytes(data)
+    with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: non-ASCII byte at offset {offset}$"):
+        read_field(path)
+    # a file object hands over decoded text: its offset counts characters
+    with open(path, encoding="utf-8") as fh:
+        with pytest.raises(FormatError, match=f": non-ASCII character at offset {offset}$"):
+            read_field(fh)

@@ -191,15 +191,18 @@ class TestDescentBasinCache:
     def test_computed_once_per_field_and_read_only(self, monkeypatch):
         from dynpers import grid
 
-        calls = []
-        step = grid._steepest_step
-        monkeypatch.setattr(grid, "_steepest_step", lambda f: calls.append(f) or step(f))
+        calls = []  # the keys of every call to the shared descent
+        descent = grid._descent
+        monkeypatch.setattr(grid, "_descent", lambda key, slices: calls.append(key)
+                            or descent(key, slices))
         for run in (lambda f: filter_dynamics(f, 0.05), saliency):
+            calls.clear()
             f = random_field(9)
             run(f)
-            assert calls.count(f) == 1
+            assert len(calls) == 1
+            assert np.array_equal(calls[0].reshape(-1), f.total_order()[1])
         cached = grid._descent_basins(f)
-        assert grid._descent_basins(f) is cached and calls.count(f) == 1
+        assert grid._descent_basins(f) is cached and len(calls) == 1
         assert not any(a.flags.writeable for a in cached)
 
 

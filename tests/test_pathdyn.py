@@ -221,18 +221,18 @@ class TestAgainstReference:
                     else:
                         assert math.isnan(value[m]) and witness[m] == -1
                 assert oracle_columns(f) is cached  # the lookups read the one batch
-                assert f._order_cache is None
+                assert f._order_cache is None and f._basin_cache is None
 
     def test_oracle_never_builds_the_total_order(self):
-        # the oracle must stay independent of the rank array the pairing
-        # routes share, so it may not trigger its computation
+        # the oracle must stay independent of the rank array and the descent
+        # basins the pairing routes share, so it may not trigger either
         f = ScalarField((6, 7), np.random.default_rng(3).integers(0, 3, 42).astype(float))
         lists = f.neighbor_lists()
         keys = [(float(x), v) for v, x in enumerate(f.values)]
         minima = [v for v in range(42) if all(keys[v] < keys[u] for u in lists[v])]
         for m in minima:
             assert dynamics_oracle(f, m) == reference_oracle(f, m)
-        assert f._order_cache is None
+        assert f._order_cache is None and f._basin_cache is None
 
 
 class TestTiedGlobalMinimum:
