@@ -116,11 +116,12 @@ def _json_text(obj) -> str:
     ``json.dumps`` with an indent runs the pure-Python encoder, one generator
     step per value.  Here the forms the commands emit are formatted a column
     at a time: a str-keyed dict member by member, a 1D or 2D numpy array of
-    floats or ints, and :class:`_Records` and :class:`_EdgeMap` through one
-    ``%`` template per row or member.  Each float column goes through ``repr``
-    once per distinct bit pattern (so ``-0.0`` stays itself).  Everything else
-    goes to ``json``.  A non-finite float in a column hands the whole tree to
-    ``json`` again, so it raises ``json``'s own ``ValueError``.
+    floats or ints, and :class:`_Records` and :class:`_EdgeMap` by one ``%``
+    over a row or member template repeated once per row.  Each float column
+    goes through ``repr`` once per distinct bit pattern (so ``-0.0`` stays
+    itself).  Everything else goes to ``json``.  A non-finite float in a
+    column hands the whole tree to ``json`` again, so it raises ``json``'s
+    own ``ValueError``.
     """
     try:
         return _indented(obj, "")
@@ -148,8 +149,8 @@ def _indented(obj, pad: str) -> str:
     if kind is _Records and (obj.columns[0].size or obj.rest):
         return _bracketed("[]", _record_texts(obj, inner), pad)
     if kind is _EdgeMap and obj.heads.size:
-        members = zip(obj.heads.tolist(), obj.tails.tolist(), _float_texts(obj.values))
-        return _bracketed("{}", map('"%d,%d": %s'.__mod__, members), pad)
+        columns = (obj.heads.tolist(), obj.tails.tolist(), _float_texts(obj.values))
+        return _bracketed("{}", [_joined_rows('"%d,%d": %s', columns, inner)], pad)
     text = json.dumps(obj, indent=2, allow_nan=False, default=_plain)
     return text.replace("\n", "\n" + pad)
 
@@ -180,8 +181,9 @@ def _array_texts(array, pad: str) -> list:
 
 
 def _record_texts(records: _Records, pad: str) -> list:
-    """One text per object of ``records``: the rows through one template,
-    int columns formatted by it with ``%d``."""
+    """The texts of the objects of ``records``: its rows as one text
+    (:func:`_joined_rows`), int columns formatted with ``%d``, then one text
+    per object of ``rest``."""
     inner = pad + "  "
     ints = [c.dtype.kind in "iu" for c in records.columns]
     columns = [
@@ -193,8 +195,19 @@ def _record_texts(records: _Records, pad: str) -> list:
         for k, is_int in zip(records.keys, ints)
     ]
     template = "{\n" + inner + (",\n" + inner).join(fields) + "\n" + pad + "}"
-    rows = [*map(template.__mod__, zip(*columns))] if columns[0] else []
+    rows = [_joined_rows(template, columns, pad)] if columns[0] else []
     return rows + [_indented(x, pad) for x in records.rest]
+
+
+def _joined_rows(template: str, columns, pad: str) -> str:
+    """Each row of the equal-length ``columns`` through ``template``, the
+    texts joined as :func:`_bracketed` joins at ``pad``, by one ``%`` over
+    the template repeated once per row."""
+    width, rows = len(columns), len(columns[0])
+    flat = [None] * (width * rows)
+    for j, column in enumerate(columns):
+        flat[j::width] = column
+    return (",\n" + pad).join([template] * rows) % tuple(flat)
 
 
 def _emit_field(field: ScalarField, path: str, fmt: str, invert: bool):
@@ -314,10 +327,25 @@ def _cmd_pairs(args, conn, invert) -> int:
         pairs = _dynamics_columns(field)
     else:
         pairs = _persistence_columns(field)
-        if args.method == "both" and pairs.signature() != _dynamics_columns(field).signature():
+        if args.method == "both" and not _same_pairs(pairs, _dynamics_columns(field)):
             raise DivergenceError("persistence and dynamics pairings disagree on this field")
     _emit_json(_Records(*pairs.json_records()), args.output)
     return EXIT_OK
+
+
+def _same_pairs(p, q) -> bool:
+    """Whether two pairings as columns (``pairing._PairColumns``) hold the
+    same ``(minimum, saddle, value)`` pairs, as equal
+    :func:`pairing.pairing_signature` sets do.
+
+    Both routes sort their finite pairs by ``(value, birth, minimum)`` and a
+    pairing's minima are unique, so equal pair sets give equal columns; the
+    essential pair counts by its minimum alone.
+    """
+    ends = [None if c.essential is None else c.essential[0] for c in (p, q)]
+    return ends[0] == ends[1] and all(
+        np.array_equal(getattr(p, name), getattr(q, name)) for name in ("mins", "saddles", "values")
+    )
 
 
 def _cmd_dynamics(args, conn, invert) -> int:

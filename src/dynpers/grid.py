@@ -57,6 +57,7 @@ class ScalarField:
     _order_cache: tuple = _dc_field(default=None, repr=False, compare=False)
     _oracle_cache: tuple = _dc_field(default=None, repr=False, compare=False)
     _basin_cache: tuple = _dc_field(default=None, repr=False, compare=False)
+    _geometry_cache: tuple = _dc_field(default=None, repr=False, compare=False)
 
     def __init__(self, shape, values, connectivity=Connectivity.AXIS):
         shape = tuple(int(e) for e in shape)
@@ -83,6 +84,7 @@ class ScalarField:
         object.__setattr__(self, "_order_cache", None)
         object.__setattr__(self, "_oracle_cache", None)
         object.__setattr__(self, "_basin_cache", None)
+        object.__setattr__(self, "_geometry_cache", None)
 
     @property
     def n_vertices(self) -> int:
@@ -109,17 +111,39 @@ class ScalarField:
     def total_order(self) -> tuple:
         """``(order, rank)`` of the strict total order (cached, read-only int arrays).
 
-        ``order`` is the stable argsort of the values; ``rank`` is its inverse,
-        so ``rank[u] < rank[v]`` exactly when ``(value, u) < (value, v)``.
+        ``order`` is the vertices sorted by ``(value, index)``
+        (:func:`_vertex_order`); ``rank`` is its inverse, so
+        ``rank[u] < rank[v]`` exactly when ``(value, u) < (value, v)``.
         """
         if self._order_cache is None:
-            order = np.argsort(self.values, kind="stable")
+            order = _vertex_order(self.values)
             rank = np.empty_like(order)
             rank[order] = np.arange(order.size)
             order.flags.writeable = False
             rank.flags.writeable = False
             object.__setattr__(self, "_order_cache", (order, rank))
         return self._order_cache
+
+
+def _vertex_order(values) -> np.ndarray:
+    """The vertices sorted by ``(value, index)``: what a stable argsort of
+    ``values`` gives, from numpy's default (SIMD) argsort.
+
+    Where neighbouring sorted values are equal (ties, and ``-0.0`` beside
+    ``0.0``), the order is fixed by sorting the unique integer keys
+    ``run * n + index``, ``run`` counting the runs of equal values before
+    the vertex's own.  The keys stay below ``n ** 2``, which fits int64 for
+    ``n < 3 * 10 ** 9``.
+    """
+    order = np.argsort(values)
+    ascending = values[order]
+    starts = np.empty(order.size, dtype=bool)
+    starts[:1] = True
+    np.not_equal(ascending[1:], ascending[:-1], out=starts[1:])
+    if not starts.all():
+        base = (np.cumsum(starts) - 1) * order.size
+        order = np.sort(base + order) - base  # a sort keeps each run at its place
+    return order
 
 
 def _offsets(shape, connectivity: Connectivity):
@@ -158,17 +182,24 @@ def neighbor_table(shape, connectivity) -> np.ndarray:
     One column per offset, the columns in ascending linear offset, so each
     row's neighbors are sorted ascending.
     """
-    n = int(np.prod(shape))
-    lin = np.arange(n).reshape(shape)
+    lin = np.arange(int(np.prod(shape))).reshape(shape)
+    return _neighbor_table(lin, offset_slices(shape, connectivity), -1)
+
+
+def _neighbor_table(grid, slices, fill) -> np.ndarray:
+    """``(n, k)`` array: per vertex, the entries of ``grid`` (an array of the
+    grid's shape) at its neighbors, ``fill`` outside the box.
+
+    One column per offset of the grid's :func:`offset_slices` ``slices``,
+    the columns in ascending linear offset.
+    """
+    shape = grid.shape
     strides = [int(np.prod(shape[i + 1:])) for i in range(len(shape))]
-    slices = sorted(
-        offset_slices(shape, connectivity),
-        key=lambda osd: sum(d * s for d, s in zip(osd[0], strides)),
-    )
-    table = np.full(tuple(shape) + (len(slices),), -1, dtype=np.intp)
+    slices = sorted(slices, key=lambda osd: sum(d * s for d, s in zip(osd[0], strides)))
+    table = np.full(shape + (len(slices),), fill, dtype=grid.dtype)
     for j, (_, src, dst) in enumerate(slices):
-        table[src + (j,)] = lin[dst]
-    return table.reshape(n, len(slices))
+        table[src + (j,)] = grid[dst]
+    return table.reshape(grid.size, len(slices))
 
 
 def _build_neighbor_lists(shape, connectivity) -> list:
@@ -224,7 +255,7 @@ def local_minima(field: ScalarField) -> list:
     this is exactly the set of strict value minima.
     """
     order, rank = field.total_order()
-    low = _least_key(rank.reshape(field.shape), offset_slices(field.shape, field.connectivity))
+    low = _least_key(rank.reshape(field.shape), _geometry(field)[0])
     return order[(low == rank)[order]].tolist()
 
 
@@ -290,24 +321,48 @@ def _descent(key, slices) -> tuple:
     return step, is_min, (np.cumsum(is_min) - 1)[_jump(down)][flat]
 
 
-def _cut_edges(key, label, slices) -> tuple:
+def _cut_edges(key, label, edges) -> tuple:
     """``(a, b, weight)``: every grid edge whose ends carry different labels,
     as the two labels and ``max(key) * n + min(key)``, a weight unique per
-    edge.  ``key`` is a permutation of ``0 .. n - 1`` in the grid's shape,
-    ``label`` one integer per vertex and ``slices`` the :func:`offset_slices`.
+    edge.  ``key`` is a permutation of ``0 .. n - 1`` and ``label`` one
+    integer per vertex, both flat, and ``edges`` the grid's ``(heads,
+    tails)`` (:func:`_geometry`).
+
+    Every step is a gather by integer index; selecting by a boolean mask
+    would branch on each edge, and the cut edges come in no pattern.
     """
-    zero = (0,) * key.ndim
-    label = label.reshape(key.shape)
-    a, b, weight = ([np.empty(0, dtype=np.intp)] for _ in range(3))  # a grid may have no edge
-    for off, src, dst in slices:
-        if off > zero:
-            ls, ld = label[src], label[dst]
-            cut = ls != ld
-            ks, kd = key[src][cut], key[dst][cut]
-            a.append(ls[cut])
-            b.append(ld[cut])
-            weight.append(np.maximum(ks, kd) * key.size + np.minimum(ks, kd))
-    return np.concatenate(a), np.concatenate(b), np.concatenate(weight)
+    heads, tails = edges
+    a, b = label[heads], label[tails]
+    cut = np.flatnonzero(a != b)
+    a, b = a[cut], b[cut]  # frees the labels of all edges before the keys are read
+    kh, kt = key[heads[cut]], key[tails[cut]]
+    weight = np.maximum(kh, kt)
+    weight *= key.size
+    weight += np.minimum(kh, kt)
+    return a, b, weight
+
+
+def _geometry(field: ScalarField) -> tuple:
+    """``(slices, edges)`` of the field's grid, cached per field: its
+    :func:`offset_slices` as a tuple, and ``edges``, every grid edge once as
+    two read-only int arrays ``(heads, tails)`` with ``heads < tails``, one
+    block per offset greater than zero (each offset's ``±`` pair gives one
+    direction of the same edges).
+    """
+    if field._geometry_cache is None:
+        slices = tuple(offset_slices(field.shape, field.connectivity))
+        lin = np.arange(field.n_vertices).reshape(field.shape)
+        zero = (0,) * field.ndim
+        heads, tails = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]  # maybe no edge
+        for off, src, dst in slices:
+            if off > zero:
+                heads.append(lin[src].reshape(-1))
+                tails.append(lin[dst].reshape(-1))
+        edges = (np.concatenate(heads), np.concatenate(tails))
+        for column in edges:
+            column.flags.writeable = False
+        object.__setattr__(field, "_geometry_cache", (slices, edges))
+    return field._geometry_cache
 
 
 def _descent_basins(field: ScalarField) -> tuple:
@@ -318,8 +373,7 @@ def _descent_basins(field: ScalarField) -> tuple:
     """
     if field._basin_cache is None:
         order, rank = field.total_order()
-        slices = offset_slices(field.shape, field.connectivity)
-        step, is_min, basin = _descent(rank.reshape(field.shape), slices)
+        step, is_min, basin = _descent(rank.reshape(field.shape), _geometry(field)[0])
         cache = (order[is_min], basin, step)
         for column in cache:
             column.flags.writeable = False

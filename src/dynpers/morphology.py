@@ -27,10 +27,10 @@ from .grid import (
     Connectivity,
     ScalarField,
     _descent_basins,
+    _geometry,
     _jump,
+    _neighbor_table,
     filtration_order,
-    neighbor_table,
-    offset_slices,
 )
 from .pairing import _persistence_columns, build_merge_tree
 
@@ -47,7 +47,7 @@ def _plateaus(field: ScalarField) -> tuple:
     lin = np.arange(field.n_vertices).reshape(field.shape)
     lower = np.zeros(field.shape, dtype=bool)
     flat_a, flat_b = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]  # each edge once
-    for off, src, dst in offset_slices(field.shape, field.connectivity):
+    for off, src, dst in _geometry(field)[0]:
         lower[src] |= vals[dst] < vals[src]
         if off > (0,) * field.ndim:
             eq = vals[src] == vals[dst]
@@ -117,7 +117,8 @@ def _edge_arrays(field: ScalarField) -> tuple:
     ``±`` pairs, none with linear offset 0 (no offset moves along an axis of
     extent 1), so its upper half holds every neighbor above the row's vertex.
     """
-    table = neighbor_table(field.shape, field.connectivity)
+    lin = np.arange(field.n_vertices).reshape(field.shape)
+    table = _neighbor_table(lin, _geometry(field)[0], -1)
     upper = table[:, table.shape[1] // 2:]
     heads, col = np.nonzero(upper >= 0)
     return heads, upper[heads, col]

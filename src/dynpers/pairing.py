@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import UsageError
-from .grid import ScalarField, _boruvka, _cut_edges, _descent_basins, neighbor_table, offset_slices
+from .grid import ScalarField, _boruvka, _cut_edges, _descent_basins, _geometry, _neighbor_table
 
 INF = math.inf
 
@@ -123,8 +123,7 @@ def build_merge_tree(field: ScalarField) -> MergeTree:
     order, rank = field.total_order()
     minima, basin, step = _descent_basins(field)
     k, n = minima.size, field.n_vertices
-    slices = offset_slices(field.shape, field.connectivity)
-    a, b, weight = _cut_edges(rank.reshape(field.shape), basin, slices)
+    a, b, weight = _cut_edges(rank, basin, _geometry(field)[1])
     weight = weight[_boruvka(a, b, weight, k)]
     saddle, low = np.divmod(weight, n)  # ranks of each forest edge's ends
     parent = list(range(k))
@@ -229,13 +228,6 @@ class _PairColumns:
             pairs.append(PersistencePair(m0, None, birth, None, INF))
         return pairs
 
-    def signature(self) -> set:
-        """:func:`pairing_signature` of :meth:`to_list`, built from the columns."""
-        rows = set(zip(self.mins.tolist(), self.saddles.tolist(), self.values.tolist()))
-        if self.essential is not None:
-            rows.add((self.essential[0], None, INF))
-        return rows
-
     def json_records(self) -> tuple:
         """``(keys, columns, rest)``: the finite pairs' JSON objects as columns
         in :data:`PAIR_KEYS` order, then the essential pair's object, if any."""
@@ -281,10 +273,14 @@ def _lower_rows(field: ScalarField) -> tuple:
     of one flat list (``ends[-1]`` counting as 0)."""
     order, rank = field.total_order()
     n = field.n_vertices
-    # a -1 (outside the box) reads the appended n, which precedes no rank
-    nrank = np.append(rank, n)[neighbor_table(field.shape, field.connectivity)[order]]
+    # outside the box reads n, which precedes no rank
+    nrank = _neighbor_table(rank.reshape(field.shape), _geometry(field)[0], n)[order]
     is_lower = nrank < np.arange(n)[:, None]
-    return nrank[is_lower].tolist(), np.cumsum(np.count_nonzero(is_lower, axis=1)).tolist()
+    ends = np.cumsum(np.count_nonzero(is_lower, axis=1))
+    # an integer gather: a boolean mask would branch on every entry
+    lower = nrank.reshape(-1)[np.flatnonzero(is_lower)]
+    del nrank, is_lower  # the table goes before its lower entries become Python ints
+    return lower.tolist(), ends.tolist()
 
 
 def _dynamics_columns(field: ScalarField) -> _PairColumns:

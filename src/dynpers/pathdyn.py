@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .errors import UsageError
-from .grid import ScalarField, _boruvka, _cut_edges, _descent, offset_slices
+from .grid import ScalarField, _boruvka, _cut_edges, _descent, _geometry, _vertex_order
 
 INF = math.inf
 
@@ -59,11 +59,11 @@ def oracle_columns(field: ScalarField) -> tuple:
     total-order-least vertex.  Cached per field as read-only arrays.
 
     Each vertex gets its key, its position in the ``(value, index)`` order,
-    by a lexsort of the values (never from :meth:`ScalarField.total_order`),
-    and each grid edge the weight ``max(key) * n + min(key)``, unique per
-    edge.  A walk's highest key is its heaviest edge's ``max(key)``, so a
-    minimum ``m``'s value is the minimax key of a walk from ``m`` to a lower
-    key.  Add the edges by ascending weight (Kruskal): that minimax key is
+    from :func:`grid._vertex_order` of the values (never from
+    :meth:`ScalarField.total_order`), and each grid edge the weight
+    ``max(key) * n + min(key)``, unique per edge.  A walk's highest key is
+    its heaviest edge's ``max(key)``, so a minimum ``m``'s value is the
+    minimax key of a walk from ``m`` to a lower key.  Add the edges by ascending weight (Kruskal): that minimax key is
     the ``max(key)`` of the first edge after which ``m``'s component holds a
     key below ``m``'s, and the witness is the vertex with that key.  Adding
     an edge joins two components; only the component whose least key is the
@@ -81,21 +81,21 @@ def oracle_columns(field: ScalarField) -> tuple:
     (:func:`grid._descent` of the keys); the later rounds run on the grid
     edges between them (:func:`grid._cut_edges`).
 
-    From :mod:`dynpers.grid` the oracle takes only ``offset_slices``,
+    From :mod:`dynpers.grid` the oracle takes only the field's grid geometry
+    (``_geometry``: its offset slices and edge list), ``_vertex_order``,
     ``_descent``, ``_cut_edges`` and ``_boruvka``, which the merge tree runs
     on its own keys, the ranks; it never builds the total order or the
     field's descent basins.
     """
     if field._oracle_cache is None:
         n = field.n_vertices
-        shape, conn = field.shape, field.connectivity
-        verts = np.lexsort((np.arange(n), field.values))
+        slices, edges = _geometry(field)
+        verts = _vertex_order(field.values)
         key = np.empty(n, dtype=np.intp)
         key[verts] = np.arange(n)
-        key = key.reshape(shape)
-        slices = offset_slices(shape, conn)
-        _, is_min, tree = _descent(key, slices)  # tree ids ascend with their minima's keys
-        a, b, weight = _cut_edges(key, tree, slices)
+        # tree ids ascend with their minima's keys
+        _, is_min, tree = _descent(key.reshape(field.shape), slices)
+        a, b, weight = _cut_edges(key, tree, edges)
         k = int(is_min.sum())
         forest = _boruvka(a, b, weight, k)
         dying = _elder_rule(a[forest].tolist(), b[forest].tolist(), k)

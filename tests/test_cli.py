@@ -33,9 +33,11 @@ from dynpers import (
     watershed,
 )
 from dynpers.grid import Connectivity, offset_slices
-from dynpers.pairing import _dynamics_columns
+from dynpers.pairing import _dynamics_columns, _persistence_columns, pairing_signature
+from fields import GRIDS_4D, tie_heavy_fields
 
 SIGNAL_CSV = "5\n1\n4\n0\n6\n"
+PAIR_COLUMNS = ("mins", "saddles", "births", "deaths", "values")
 
 
 def run_cli(argv, stdin=""):
@@ -80,13 +82,39 @@ class TestPairs:
     def test_divergence_exits_3(self, capsys, monkeypatch):
         def corrupted(field):  # the essential pair only
             pairs = _dynamics_columns(field)
-            finite = ("mins", "saddles", "births", "deaths", "values")
-            return dataclasses.replace(pairs, **{k: getattr(pairs, k)[:0] for k in finite})
+            return dataclasses.replace(pairs, **{k: getattr(pairs, k)[:0] for k in PAIR_COLUMNS})
 
         monkeypatch.setattr(cli, "_dynamics_columns", corrupted)
         code, _, err = run_main(["pairs", "--method", "both"], SIGNAL_CSV, capsys, monkeypatch)
         assert code == 3
         assert "divergence" in err
+
+    def test_swapped_saddle_exits_3(self, capsys, monkeypatch):
+        def corrupted(field):  # as many pairs, the finite pair's saddle moved one vertex on
+            pairs = _dynamics_columns(field)
+            return dataclasses.replace(pairs, saddles=pairs.saddles + 1)
+
+        monkeypatch.setattr(cli, "_dynamics_columns", corrupted)
+        code, _, err = run_main(["pairs", "--method", "both"], SIGNAL_CSV, capsys, monkeypatch)
+        assert code == 3
+        assert "divergence" in err
+
+    def test_same_pairs_is_the_signature_comparison(self):
+        # reference: the sets of (min, saddle, value) tuples the CLI compared before
+        for f in tie_heavy_fields(6151, 60, GRIDS_4D):
+            per, dyn = _persistence_columns(f), _dynamics_columns(f)
+            m0, birth = dyn.essential
+            variants = [dyn, dataclasses.replace(dyn, essential=None),
+                        dataclasses.replace(dyn, essential=(m0 + 1, birth)),
+                        dataclasses.replace(dyn, essential=(m0, birth + 1.0))]
+            if len(dyn.mins):
+                variants.append(dataclasses.replace(dyn, saddles=np.roll(dyn.saddles, 1) + 1))
+                variants.append(dataclasses.replace(dyn, values=dyn.values * -1.0))
+                variants.append(dataclasses.replace(
+                    dyn, **{k: getattr(dyn, k)[1:] for k in PAIR_COLUMNS}))
+            for other in variants:
+                expected = pairing_signature(per.to_list()) == pairing_signature(other.to_list())
+                assert cli._same_pairs(per, other) == expected
 
 
 class TestFieldCommands:

@@ -1,4 +1,6 @@
+import io
 import itertools
+import sys
 
 import numpy as np
 import pytest
@@ -19,7 +21,17 @@ from dynpers import (
     sort_vertices,
     watershed,
 )
-from dynpers.grid import _build_neighbor_lists, neighbor_table, offset_slices
+from dynpers import cli, grid
+from dynpers.grid import (
+    _build_neighbor_lists,
+    _cut_edges,
+    _descent_basins,
+    _geometry,
+    _vertex_order,
+    neighbor_table,
+    offset_slices,
+)
+from fields import GRIDS_4D, tie_heavy_fields
 
 SIGNAL = ScalarField((5,), [5, 1, 4, 0, 6])
 
@@ -35,6 +47,23 @@ def reference_neighbor_lists(shape, connectivity):
     for l in lists:
         l.sort()
     return lists
+
+
+def reference_cut_edges(key, label, slices):
+    """The cut edges by one strided slicing per positive offset, as they were
+    built before the grid's flat edge list; ``key`` and ``label`` in the
+    grid's shape."""
+    zero = (0,) * key.ndim
+    a, b, weight = ([np.empty(0, dtype=np.intp)] for _ in range(3))
+    for off, src, dst in slices:
+        if off > zero:
+            ls, ld = label[src], label[dst]
+            cut = ls != ld
+            ks, kd = key[src][cut], key[dst][cut]
+            a.append(ls[cut])
+            b.append(ld[cut])
+            weight.append(np.maximum(ks, kd) * key.size + np.minimum(ks, kd))
+    return np.concatenate(a), np.concatenate(b), np.concatenate(weight)
 
 
 class TestScalarField:
@@ -261,3 +290,74 @@ class TestExtentOneAxes:
                 for column in ("heads", "tails", "values"):
                     assert np.array_equal(getattr(sf, column), getattr(sg, column))
                 assert f.neighbor_lists() == g.neighbor_lists()
+
+
+class TestGridHelpersAgainstReferences:
+    def value_arrays(self):
+        for f in tie_heavy_fields(7001, 320, GRIDS_4D):
+            yield f.values
+        rng = np.random.default_rng(7001)
+        for n in (1, 2, 17, 300, 5000, 40000):
+            yield rng.choice([-0.0, 0.0, 1.0], n)
+            yield rng.choice([-1e16, 1e16, -1.0, 1.0, -0.0, 0.0], n) + rng.choice([0.0, 1.0], n)
+            yield rng.integers(0, 3, n).astype(float)
+            yield rng.uniform(-1.0, 1.0, n)
+            yield np.full(n, rng.choice([-0.0, 0.0, 2.5]))
+
+    def test_vertex_order_is_the_stable_argsort_and_the_lexsort(self):
+        for values in self.value_arrays():
+            order = _vertex_order(values)
+            assert np.array_equal(order, np.argsort(values, kind="stable"))
+            assert np.array_equal(order, np.lexsort((np.arange(values.size), values)))
+
+    @pytest.mark.parametrize("shape", [(23,), (1,), (7, 9), (1, 5, 1, 4), (5, 1, 4), (4, 3, 5),
+                                       (3, 4, 2, 3), (1, 1, 5, 4, 1)])
+    def test_cut_edges_are_the_per_offset_slicing(self, shape):
+        rng = np.random.default_rng(7013)
+        n = int(np.prod(shape))
+        for conn in ("axis", "full"):
+            f = ScalarField(shape, rng.integers(0, 3, n).astype(float), conn)
+            slices, edges = _geometry(f)
+            rank = f.total_order()[1]
+            for label in (_descent_basins(f)[1], rng.integers(0, 3, n), np.arange(n)):
+                for key in (rank, rng.permutation(n)):
+                    got = _cut_edges(key, label, edges)
+                    expected = reference_cut_edges(key.reshape(shape), label.reshape(shape), slices)
+                    got, expected = ([c[np.argsort(w)] for c in (a, b, w)]  # weights are unique
+                                     for a, b, w in (got, expected))
+                    for column, reference in zip(got, expected):
+                        assert column.dtype == np.intp
+                        assert np.array_equal(column, reference)
+            heads, tails = edges  # every edge once, as the neighbor table has it
+            table = neighbor_table(shape, Connectivity(conn))
+            assert np.all(heads < tails) and heads.size == np.count_nonzero(table >= 0) // 2
+            assert set(zip(heads.tolist(), tails.tolist())) == {
+                (v, u) for v, row in enumerate(table.tolist()) for u in row if u > v}
+
+
+class TestGeometryCache:
+    def test_built_once_per_field_and_read_only(self, capsys, monkeypatch):
+        builds = []  # the shape of every offset-slice build
+        build = grid.offset_slices
+        monkeypatch.setattr(grid, "offset_slices", lambda shape, conn: builds.append(shape)
+                            or build(shape, conn))
+        fields = []
+        init = ScalarField.__init__
+
+        def spy(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            fields.append(self)
+
+        monkeypatch.setattr(ScalarField, "__init__", spy)
+        values = np.random.default_rng(3).integers(0, 4, 120).tolist()
+        monkeypatch.setattr(sys, "stdin", io.StringIO(
+            "FIELD 3 5 4 6\n" + "".join(f"{v}\n" for v in values)))
+        assert cli.main(["--connectivity", "full", "pairs", "--method", "both"]) == 0
+        assert cli.main(["verify", "--trials", "2", "--shape", "9x11"]) == 0
+        capsys.readouterr()
+        assert builds == [g.shape for g in fields] and len(fields) == 3
+        for g in fields:
+            slices, edges = _geometry(g)
+            assert _geometry(g) is g._geometry_cache and isinstance(slices, tuple)
+            assert not any(column.flags.writeable for column in edges)
+        assert len(builds) == 3

@@ -453,8 +453,9 @@ class TestPersistenceRouteBuildsNoNeighborLists:
         def forbidden(*args, **kwargs):
             raise AssertionError("the merge tree built the neighbor table")
 
+        monkeypatch.setattr(grid, "neighbor_table", forbidden)
         for module in (grid, pairing, morphology):
-            monkeypatch.setattr(module, "neighbor_table", forbidden)
+            monkeypatch.setattr(module, "_neighbor_table", forbidden)
         for run in (build_merge_tree, _persistence_columns, lambda f: filter_dynamics(f, 1.5)):
             run(self.fresh())
 
@@ -579,7 +580,6 @@ class TestPairColumns:
             for cols, pairs in ((_persistence_columns(f), pair_by_persistence(f)),
                                 (_dynamics_columns(f), pair_by_dynamics(f))):
                 assert repr(cols.to_list()) == repr(pairs) and len(cols) == len(pairs)
-                assert cols.signature() == pairing_signature(pairs)
                 assert cols.mins.dtype == np.intp and cols.values.dtype == np.float64
 
     def test_json_records_lay_out_pairs_to_json(self):
