@@ -22,7 +22,7 @@ from .grid import Connectivity, ScalarField
 from .formats import FORMATS, _read_ascii, parse_field, sniff_format, write_field
 from .pairing import _dynamics_columns, _persistence_columns
 from .pathdyn import dynamics_oracle
-from .equivalence import KINDS, GeneratorSpec, generate, sweep
+from .equivalence import KINDS, GeneratorSpec, _divergent_minimum, generate, sweep
 from .morphology import (
     _curve_columns,
     _curve_json,
@@ -327,25 +327,12 @@ def _cmd_pairs(args, conn, invert) -> int:
         pairs = _dynamics_columns(field)
     else:
         pairs = _persistence_columns(field)
-        if args.method == "both" and not _same_pairs(pairs, _dynamics_columns(field)):
-            raise DivergenceError("persistence and dynamics pairings disagree on this field")
+        if args.method == "both":
+            bad, _ = _divergent_minimum(field, pairs, _dynamics_columns(field), False)
+            if bad is not None:
+                raise DivergenceError("persistence and dynamics pairings disagree on this field")
     _emit_json(_Records(*pairs.json_records()), args.output)
     return EXIT_OK
-
-
-def _same_pairs(p, q) -> bool:
-    """Whether two pairings as columns (``pairing._PairColumns``) hold the
-    same ``(minimum, saddle, value)`` pairs, as equal
-    :func:`pairing.pairing_signature` sets do.
-
-    Both routes sort their finite pairs by ``(value, birth, minimum)`` and a
-    pairing's minima are unique, so equal pair sets give equal columns; the
-    essential pair counts by its minimum alone.
-    """
-    ends = [None if c.essential is None else c.essential[0] for c in (p, q)]
-    return ends[0] == ends[1] and all(
-        np.array_equal(getattr(p, name), getattr(q, name)) for name in ("mins", "saddles", "values")
-    )
 
 
 def _cmd_dynamics(args, conn, invert) -> int:

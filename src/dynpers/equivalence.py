@@ -138,18 +138,14 @@ class EquivalenceReport:
         return obj
 
 
-def _columns(pairs) -> tuple:
-    """``(mins, saddles, values)`` of a pairing, given as columns or as a pair
-    list; the essential pair's saddle reads -1."""
-    if isinstance(pairs, _PairColumns):
-        mins, saddles, values = pairs.mins, pairs.saddles, pairs.values
-        if pairs.essential is None:
-            return mins, saddles, values
-        m0 = pairs.essential[0]
-        return np.append(mins, m0), np.append(saddles, -1), np.append(values, math.inf)
-    mins = np.array([p.min_vertex for p in pairs], dtype=np.intp)
-    saddles = np.array([-1 if p.is_essential else p.saddle_vertex for p in pairs], dtype=np.intp)
-    return mins, saddles, np.array([p.value for p in pairs], dtype=np.float64)
+def _columns(pairs: _PairColumns) -> tuple:
+    """``(mins, saddles, values)`` of a pairing's columns, the essential pair
+    last with saddle -1."""
+    mins, saddles, values = pairs.mins, pairs.saddles, pairs.values
+    if pairs.essential is None:
+        return mins, saddles, values
+    m0 = pairs.essential[0]
+    return np.append(mins, m0), np.append(saddles, -1), np.append(values, math.inf)
 
 
 def _divergent_minimum(field, per_pairs, dyn_pairs, check_oracle) -> tuple:

@@ -342,6 +342,43 @@ def _cut_edges(key, label, edges) -> tuple:
     return a, b, weight
 
 
+def _replay(a, b, k: int) -> tuple:
+    """``(ra, rb)``: per edge ``(a[i], b[i])`` over ``k`` nodes, replayed in
+    order over a union-find whose root is a component's least id (path
+    halving), the roots of the two components the edge joins."""
+    parent = list(range(k))
+    ra, rb = [], []
+    for x, y in zip(a.tolist(), b.tolist()):
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        while parent[y] != y:
+            parent[y] = y = parent[parent[y]]
+        ra.append(x)
+        rb.append(y)
+        if x < y:
+            parent[y] = x
+        else:
+            parent[x] = y
+    return np.array(ra, dtype=np.intp), np.array(rb, dtype=np.intp)
+
+
+def _kruskal(key, order, label, edges, k: int) -> tuple:
+    """``(hi, lo, ra, rb)``: Kruskal's algorithm over the grid edges between
+    ``k`` labelled trees, one entry per edge of the minimum spanning forest,
+    ascending by weight.
+
+    ``key`` is a permutation of ``0 .. n - 1`` and ``order`` its inverse,
+    ``label`` a tree id below ``k`` per vertex, all flat, and ``edges`` the
+    grid's (:func:`_geometry`).  ``hi`` and ``lo`` are the greater and the
+    lesser key of each forest edge (:func:`_cut_edges`' weight, decoded), and
+    ``ra`` and ``rb`` the roots that the :func:`_replay` of
+    ``label[order[hi]]`` against ``label[order[lo]]`` joins.
+    """
+    a, b, weight = _cut_edges(key, label, edges)
+    hi, lo = np.divmod(weight[_boruvka(a, b, weight, k)], key.size)
+    return (hi, lo) + _replay(label[order[hi]], label[order[lo]], k)
+
+
 def _geometry(field: ScalarField) -> tuple:
     """``(slices, edges)`` of the field's grid, cached per field: its
     :func:`offset_slices` as a tuple, and ``edges``, every grid edge once as

@@ -29,7 +29,7 @@ from .grid import (
     _descent_basins,
     _geometry,
     _jump,
-    _neighbor_table,
+    _replay,
     filtration_order,
 )
 from .pairing import _persistence_columns, build_merge_tree
@@ -103,7 +103,7 @@ class WatershedLabels:
 
     def boundary_edges(self, field: ScalarField) -> set:
         """Edges (u, v), u < v, whose endpoints carry different labels."""
-        heads, tails = _edge_arrays(field)
+        heads, tails = _geometry(field)[1]
         lab = self._labels
         cut = lab[heads] != lab[tails]
         return set(zip(heads[cut].tolist(), tails[cut].tolist()))
@@ -111,17 +111,15 @@ class WatershedLabels:
 
 def _edge_arrays(field: ScalarField) -> tuple:
     """``(heads, tails)``: every grid edge once, ``heads < tails``, ascending by
-    ``(head, tail)``.
+    ``(head, tail)``: the field's cached edge list, sorted by the unique keys
+    ``head * n + tail`` (below ``n ** 2``).
 
-    The neighbor table's columns run in ascending linear offset and come in
-    ``±`` pairs, none with linear offset 0 (no offset moves along an axis of
-    extent 1), so its upper half holds every neighbor above the row's vertex.
+    The list is one ascending run per offset, which numpy's stable sort
+    (timsort) merges in about linear time.
     """
-    lin = np.arange(field.n_vertices).reshape(field.shape)
-    table = _neighbor_table(lin, _geometry(field)[0], -1)
-    upper = table[:, table.shape[1] // 2:]
-    heads, col = np.nonzero(upper >= 0)
-    return heads, upper[heads, col]
+    heads, tails = _geometry(field)[1]
+    pick = np.argsort(heads * field.n_vertices + tails, kind="stable")
+    return heads[pick], tails[pick]
 
 
 def iter_edges(field: ScalarField):
@@ -367,6 +365,29 @@ class SaliencyMap:
         return {f"{u},{v}": val for u, v, val in edges}
 
 
+def _reconstruction_tree(child, parent, leaves: int) -> np.ndarray:
+    """Per node of the Kruskal reconstruction tree of the forest edges
+    ``child[j] - parent[j]`` over ``leaves`` nodes, its parent; a root points
+    to itself.  Edge ``j`` adds node ``leaves + j``.
+
+    The node sits above the node of each root that edge ``j`` joins in the
+    :func:`grid._replay`: the node of that root's previous edge, or else the
+    root's own leaf.  The edges join distinct roots, so the ``(root, edge)``
+    entries are unique, and sorted by ``root * m + edge`` each entry's
+    predecessor within its root is the previous edge.
+    """
+    m = child.size
+    root = np.concatenate(_replay(child, parent, leaves))
+    edge = np.tile(np.arange(m), 2)
+    entry = np.argsort(root * m + edge)
+    root, node = root[entry], edge[entry] + leaves
+    first = np.ones(root.size, dtype=bool)
+    first[1:] = root[1:] != root[:-1]
+    up = np.arange(leaves + m)
+    up[np.where(first, root, np.roll(node, 1))] = node
+    return up
+
+
 def _fuse_levels(child, parent, weight, lo, hi, leaves: int) -> np.ndarray:
     """Largest absorption-tree weight on the path between leaves ``lo[i]`` and ``hi[i]``.
 
@@ -375,25 +396,13 @@ def _fuse_levels(child, parent, weight, lo, hi, leaves: int) -> np.ndarray:
     reconstruction tree adds one node per edge, above the two sets the edge
     joins, so node ids grow towards the root, and the lowest common ancestor
     of two leaves is the union that first joins them: the heaviest edge of
-    their path, and of equal weights the last in order.  One union-find pass
-    builds it; binary lifting answers every pair at once.
+    their path, and of equal weights the last in order.  Numpy links it from
+    the roots of the shared union-find replay (:func:`_reconstruction_tree`);
+    binary lifting answers every pair at once.
     """
-    up = list(range(2 * leaves - 1))  # reconstruction-tree parent; roots point to themselves
-    top = up[:]  # union-find links over the same nodes
-    node_weight = []
-    node = leaves
-    for x, y, w in zip(child.tolist(), parent.tolist(), weight.tolist()):
-        while top[x] != x:
-            top[x] = x = top[top[x]]
-        while top[y] != y:
-            top[y] = y = top[top[y]]
-        up[x] = up[y] = top[x] = top[y] = node
-        node_weight.append(w)
-        node += 1
-
+    step = _reconstruction_tree(child, parent, leaves)
     # anc[j][x] is the 2**j-th ancestor of x, or its root when that is nearer.
-    step = np.array(up[:node], dtype=np.intp)
-    depth = (step != np.arange(node)).astype(np.intp)  # distance from x to step[x]
+    depth = (step != np.arange(step.size)).astype(np.intp)  # distance from x to step[x]
     anc = [step]
     while True:
         nxt = step[step]
@@ -411,7 +420,7 @@ def _fuse_levels(child, parent, weight, lo, hi, leaves: int) -> np.ndarray:
         apart = jump[a] != jump[b]
         a, b = np.where(apart, jump[a], a), np.where(apart, jump[b], b)
     # Two distinct leaves never stand one above the other, so a != b here.
-    return np.array(node_weight)[anc[0][a] - leaves]
+    return weight[anc[0][a] - leaves]
 
 
 def saliency(field: ScalarField) -> SaliencyMap:

@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import UsageError
-from .grid import ScalarField, _boruvka, _cut_edges, _descent_basins, _geometry, _neighbor_table
+from .grid import ScalarField, _descent_basins, _geometry, _kruskal, _neighbor_table
 
 INF = math.inf
 
@@ -105,11 +105,9 @@ def build_merge_tree(field: ScalarField) -> MergeTree:
     basin to its lower neighbors in other basins, taken in ascending rank of
     the neighbor.  The weights are unique, so the minimum spanning forest
     (:func:`grid._boruvka`) is the set of edges Kruskal's algorithm keeps,
-    and a path-halving union-find over its k - 1 edges, in weight order,
-    joins the components exactly as the sweep does.  Components are compact
-    basin ids (the minima's ages), a root always being its component's
-    eldest; per edge the loop records the roots of the two components it
-    joins.
+    and :func:`grid._kruskal` replays its k - 1 edges in weight order over
+    compact basin ids (the minima's ages), giving per edge the roots of the
+    two components it joins, a root always being its component's eldest.
 
     The forest edges at ``w`` form a star from the component of ``w``'s own
     basin, which holds ``w``'s steepest step (its least lower neighbor), to
@@ -123,28 +121,13 @@ def build_merge_tree(field: ScalarField) -> MergeTree:
     order, rank = field.total_order()
     minima, basin, step = _descent_basins(field)
     k, n = minima.size, field.n_vertices
-    a, b, weight = _cut_edges(rank, basin, _geometry(field)[1])
-    weight = weight[_boruvka(a, b, weight, k)]
-    saddle, low = np.divmod(weight, n)  # ranks of each forest edge's ends
-    parent = list(range(k))
-    upper, lower = [], []  # per forest edge, the roots on its saddle's side and on the other
-    for x, y in zip(basin[order[saddle]].tolist(), basin[order[low]].tolist()):
-        while parent[x] != x:
-            parent[x] = x = parent[parent[x]]
-        while parent[y] != y:
-            parent[y] = y = parent[parent[y]]
-        upper.append(x)
-        lower.append(y)
-        if x < y:
-            parent[y] = x
-        else:
-            parent[x] = y
+    # per forest edge: the ranks of its ends, and the roots on the saddle's side and on the other
+    saddle, low, upper, lower = _kruskal(rank, order, basin, _geometry(field)[1], k)
 
     heads = np.flatnonzero(np.diff(saddle, prepend=-1))  # each saddle's first forest edge
     # One row per component that a saddle joins: the saddle's rank, the
     # component's root and its least lower neighbor of the saddle (a rank).
     at = np.concatenate((saddle[heads], saddle))
-    upper, lower = np.array(upper, dtype=np.intp), np.array(lower, dtype=np.intp)
     root = np.concatenate((upper[heads], lower))
     least = np.concatenate((step[order[saddle[heads]]], low))
     rows = np.argsort(at * k - root)  # by saddle, then roots descending: the survivor last

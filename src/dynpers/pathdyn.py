@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .errors import UsageError
-from .grid import ScalarField, _boruvka, _cut_edges, _descent, _geometry, _vertex_order
+from .grid import ScalarField, _descent, _geometry, _kruskal, _vertex_order
 
 INF = math.inf
 
@@ -63,14 +63,16 @@ def oracle_columns(field: ScalarField) -> tuple:
     :meth:`ScalarField.total_order`), and each grid edge the weight
     ``max(key) * n + min(key)``, unique per edge.  A walk's highest key is
     its heaviest edge's ``max(key)``, so a minimum ``m``'s value is the
-    minimax key of a walk from ``m`` to a lower key.  Add the edges by ascending weight (Kruskal): that minimax key is
-    the ``max(key)`` of the first edge after which ``m``'s component holds a
-    key below ``m``'s, and the witness is the vertex with that key.  Adding
-    an edge joins two components; only the component whose least key is the
-    greater one gains a lower key, and every other vertex of it already had
-    one, so the edge answers exactly that component's least key.  Edges
-    inside a component change nothing, and minimax paths lie in a minimum
-    spanning forest (Hu 1961), so only the forest's edges are replayed.
+    minimax key of a walk from ``m`` to a lower key.  Add the edges by
+    ascending weight (Kruskal): that minimax key is the ``max(key)`` of the
+    first edge after which ``m``'s component holds a key below ``m``'s, and
+    the witness is the vertex with that key.  Adding an edge joins two
+    components; only the component whose least key is the greater one gains
+    a lower key, and every other vertex of it already had one, so the edge
+    answers exactly that component's least key: the greater of the two roots
+    it joins.  Edges inside a component change nothing, and minimax paths
+    lie in a minimum spanning forest (Hu 1961), so only the forest's edges
+    are replayed (:func:`grid._kruskal`).
 
     The forest comes from Borůvka rounds.  Round one is in closed form: a
     vertex's lightest edge goes to its least-key neighbor, and every vertex
@@ -79,12 +81,13 @@ def oracle_columns(field: ScalarField) -> tuple:
     key: it answers a vertex that is no local minimum and is never replayed.
     The components left are trees hanging from the local minima
     (:func:`grid._descent` of the keys); the later rounds run on the grid
-    edges between them (:func:`grid._cut_edges`).
+    edges between them.
 
     From :mod:`dynpers.grid` the oracle takes only the field's grid geometry
     (``_geometry``: its offset slices and edge list), ``_vertex_order``,
-    ``_descent``, ``_cut_edges`` and ``_boruvka``, which the merge tree runs
-    on its own keys, the ranks; it never builds the total order or the
+    ``_descent`` and ``_kruskal`` (the cut edges, Borůvka and the shared
+    replay), which the merge tree runs on its own keys, the ranks; its keys
+    come from the values alone, and it never builds the total order or the
     field's descent basins.
     """
     if field._oracle_cache is None:
@@ -95,40 +98,19 @@ def oracle_columns(field: ScalarField) -> tuple:
         key[verts] = np.arange(n)
         # tree ids ascend with their minima's keys
         _, is_min, tree = _descent(key.reshape(field.shape), slices)
-        a, b, weight = _cut_edges(key, tree, edges)
-        k = int(is_min.sum())
-        forest = _boruvka(a, b, weight, k)
-        dying = _elder_rule(a[forest].tolist(), b[forest].tolist(), k)
+        top, _, x, y = _kruskal(key, verts, tree, edges, int(is_min.sum()))
 
         mins = verts[np.flatnonzero(is_min)]
         value = np.full(n, np.nan)
         witness = np.full(n, -1, dtype=np.intp)
         value[mins[0]] = INF
-        dying, top = mins[dying], verts[weight[forest] // n]
+        dying, top = mins[np.maximum(x, y)], verts[top]  # the elder rule
         value[dying] = field.values[top] - field.values[dying]
         witness[dying] = top
         value.flags.writeable = False
         witness.flags.writeable = False
         object.__setattr__(field, "_oracle_cache", (value, witness))
     return field._oracle_cache
-
-
-def _elder_rule(a: list, b: list, k: int) -> np.ndarray:
-    """Per edge ``(a[i], b[i])`` over ``k`` nodes, replayed in order over a
-    union-find whose root is a component's least id (path halving): the
-    greater of the two roots it joins."""
-    parent = list(range(k))
-    dying = []
-    for x, y in zip(a, b):
-        while parent[x] != x:
-            parent[x] = x = parent[parent[x]]
-        while parent[y] != y:
-            parent[y] = y = parent[parent[y]]
-        if x > y:
-            x, y = y, x
-        parent[y] = x
-        dying.append(y)
-    return np.array(dying, dtype=np.intp)
 
 
 MAX_EXHAUSTIVE_VERTICES = 12

@@ -24,7 +24,6 @@ from dynpers import (
     UsageError,
     filter_dynamics,
     granulometric_curve,
-    pair_by_dynamics,
     pair_by_persistence,
     pairs_to_json,
     parse_field,
@@ -32,6 +31,7 @@ from dynpers import (
     segment_pipeline,
     watershed,
 )
+from dynpers.equivalence import _divergent_minimum
 from dynpers.grid import Connectivity, offset_slices
 from dynpers.pairing import _dynamics_columns, _persistence_columns, pairing_signature
 from fields import GRIDS_4D, tie_heavy_fields
@@ -105,7 +105,7 @@ class TestPairs:
             per, dyn = _persistence_columns(f), _dynamics_columns(f)
             m0, birth = dyn.essential
             variants = [dyn, dataclasses.replace(dyn, essential=None),
-                        dataclasses.replace(dyn, essential=(m0 + 1, birth)),
+                        dataclasses.replace(dyn, essential=((m0 + 1) % f.n_vertices, birth)),
                         dataclasses.replace(dyn, essential=(m0, birth + 1.0))]
             if len(dyn.mins):
                 variants.append(dataclasses.replace(dyn, saddles=np.roll(dyn.saddles, 1) + 1))
@@ -114,7 +114,7 @@ class TestPairs:
                     dyn, **{k: getattr(dyn, k)[1:] for k in PAIR_COLUMNS}))
             for other in variants:
                 expected = pairing_signature(per.to_list()) == pairing_signature(other.to_list())
-                assert cli._same_pairs(per, other) == expected
+                assert (_divergent_minimum(f, per, other, False)[0] is None) == expected
 
 
 class TestFieldCommands:
@@ -228,8 +228,9 @@ class TestVerifyAndGen:
         assert obj["fields_tested"] == 5 and obj["pairings_identical"] is True
 
     def test_verify_divergence_exits_3(self, capsys, monkeypatch):
-        def corrupted(field):
-            return [p for p in pair_by_dynamics(field) if p.is_essential]
+        def corrupted(field):  # the essential pair only
+            pairs = _dynamics_columns(field)
+            return dataclasses.replace(pairs, **{k: getattr(pairs, k)[:0] for k in PAIR_COLUMNS})
 
         import dynpers.equivalence as eq
 

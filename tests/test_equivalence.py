@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,13 +11,14 @@ from dynpers import (
     UsageError,
     generate,
     local_minima,
-    pair_by_dynamics,
     sweep,
     verify_equivalence,
 )
 from dynpers import equivalence
+from dynpers.pairing import _dynamics_columns
 
 SIGNAL = ScalarField((5,), [5, 1, 4, 0, 6])
+PAIR_COLUMNS = ("mins", "saddles", "births", "deaths", "values")
 
 
 def inject_dynamics(monkeypatch, route):
@@ -25,11 +28,8 @@ def inject_dynamics(monkeypatch, route):
 
 def drop_one(field):
     """The dynamics pairing without its last finite pair."""
-    pairs = pair_by_dynamics(field)
-    finite = [p for p in pairs if not p.is_essential]
-    if finite:
-        pairs = [p for p in pairs if p is not finite[-1]]
-    return pairs
+    pairs = _dynamics_columns(field)
+    return dataclasses.replace(pairs, **{k: getattr(pairs, k)[:-1] for k in PAIR_COLUMNS})
 
 
 class TestGenerate:
@@ -82,13 +82,8 @@ class TestVerifyEquivalence:
 
     def test_detects_value_corruption(self, monkeypatch):
         def corrupted(field):
-            pairs = pair_by_dynamics(field)
-            out = []
-            for p in pairs:
-                if not p.is_essential:
-                    p = type(p)(p.min_vertex, p.saddle_vertex, p.birth, p.death, p.value + 0.5)
-                out.append(p)
-            return out
+            pairs = _dynamics_columns(field)
+            return dataclasses.replace(pairs, values=pairs.values + 0.5)
 
         inject_dynamics(monkeypatch, corrupted)
         report = verify_equivalence(SIGNAL)
@@ -171,8 +166,9 @@ class TestSweep:
         assert report.counterexample_values == values
 
     def test_fail_fast_stops_early(self, monkeypatch):
-        def always_empty(field):
-            return [p for p in pair_by_dynamics(field) if p.is_essential]
+        def always_empty(field):  # the essential pair only
+            pairs = _dynamics_columns(field)
+            return dataclasses.replace(pairs, **{k: getattr(pairs, k)[:0] for k in PAIR_COLUMNS})
 
         inject_dynamics(monkeypatch, always_empty)
         specs = [GeneratorSpec("uniform_random", (24,), seed=s) for s in range(10)]

@@ -21,16 +21,20 @@ from dynpers import (
     sort_vertices,
     watershed,
 )
-from dynpers import cli, grid
+from dynpers import build_merge_tree, cli, grid, morphology, pairing, pathdyn
 from dynpers.grid import (
     _build_neighbor_lists,
     _cut_edges,
     _descent_basins,
     _geometry,
+    _replay,
     _vertex_order,
     neighbor_table,
     offset_slices,
 )
+from dynpers.morphology import _fuse_levels, _reconstruction_tree
+from dynpers.pairing import _dynamics_columns
+from dynpers.pathdyn import oracle_columns
 from fields import GRIDS_4D, tie_heavy_fields
 
 SIGNAL = ScalarField((5,), [5, 1, 4, 0, 6])
@@ -361,3 +365,115 @@ class TestGeometryCache:
             assert _geometry(g) is g._geometry_cache and isinstance(slices, tuple)
             assert not any(column.flags.writeable for column in edges)
         assert len(builds) == 3
+
+
+def reference_elder_rule(a: list, b: list, k: int) -> np.ndarray:
+    """The path oracle's own union-find before the shared replay, kept
+    verbatim: per edge, the greater of the two roots it joins."""
+    parent = list(range(k))
+    dying = []
+    for x, y in zip(a, b):
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        while parent[y] != y:
+            parent[y] = y = parent[parent[y]]
+        if x > y:
+            x, y = y, x
+        parent[y] = x
+        dying.append(y)
+    return np.array(dying, dtype=np.intp)
+
+
+def reference_reconstruction_tree(child, parent, leaves):
+    """Saliency's Kruskal reconstruction tree with its own union-find over
+    the tree's nodes, as it was built before the shared replay: per node,
+    its parent."""
+    up = list(range(2 * leaves - 1))
+    top = up[:]
+    node = leaves
+    for x, y in zip(child.tolist(), parent.tolist()):
+        while top[x] != x:
+            top[x] = x = top[top[x]]
+        while top[y] != y:
+            top[y] = y = top[top[y]]
+        up[x] = up[y] = top[x] = top[y] = node
+        node += 1
+    return np.array(up[:node], dtype=np.intp)
+
+
+def path_maximum(a, b, weight, lo, hi, k):
+    """The heaviest weight on the tree path from ``lo`` to ``hi``, by a walk."""
+    adjacent = [[] for _ in range(k)]
+    for x, y, w in zip(a.tolist(), b.tolist(), weight.tolist()):
+        adjacent[x].append((y, w))
+        adjacent[y].append((x, w))
+    heaviest = {lo: -np.inf}
+    stack = [lo]
+    while stack:
+        x = stack.pop()
+        for y, w in adjacent[x]:
+            if y not in heaviest:
+                heaviest[y] = max(heaviest[x], w)
+                stack.append(y)
+    return heaviest[hi]
+
+
+def random_forests():
+    """``(a, b, k, spanning)``: forests over ``k`` nodes as edge lists in a
+    random order with random ends first, random trees with and without
+    dropped edges, chains, stars and no edges at all."""
+    rng = np.random.default_rng(2020)
+    for k in (1, 2, 50, 2000):
+        for drop in (0.0, 0.0, 0.3):
+            ids = rng.permutation(k)
+            a, b = ids[1:], ids[rng.integers(0, np.arange(1, k))] if k > 1 else ids[:0]
+            keep = np.flatnonzero(rng.random(k - 1) >= drop)
+            a, b = a[keep], b[keep]
+            swap = rng.random(a.size) < 0.5
+            a, b = np.where(swap, b, a), np.where(swap, a, b)
+            pick = rng.permutation(a.size)
+            yield a[pick], b[pick], k, drop == 0.0
+        line = np.arange(k)
+        yield line[:-1], line[1:], k, True  # a chain, from one end
+        yield line[1:][::-1], line[:-1][::-1], k, True  # from the other
+        yield np.full(k - 1, k // 2), np.delete(line, k // 2), k, True  # a star
+        yield line[:0], line[:0], k, k == 1  # no edges
+
+
+class TestSharedReplay:
+    def test_the_greater_root_is_the_elder_rule(self):
+        for a, b, k, _ in random_forests():
+            ra, rb = _replay(a, b, k)
+            assert ra.dtype == rb.dtype == np.intp and np.all(ra != rb)
+            expected = reference_elder_rule(a.tolist(), b.tolist(), k)
+            assert np.array_equal(np.maximum(ra, rb), expected)
+
+    def test_reconstruction_tree_is_the_union_find_loop(self):
+        rng = np.random.default_rng(2021)
+        for a, b, k, spanning in random_forests():
+            assert np.array_equal(_reconstruction_tree(a, b, k), reference_reconstruction_tree(a, b, k))
+            if spanning and k > 1:  # every leaf pair is joined
+                weight = np.sort(rng.integers(0, 5, a.size)).astype(float)  # ties included
+                lo, hi = rng.integers(0, k, (2, 16))
+                lo, hi = lo[lo != hi], hi[lo != hi]
+                expected = [path_maximum(a, b, weight, x, y, k) for x, y in zip(lo, hi)]
+                assert _fuse_levels(a, b, weight, lo, hi, k).tolist() == expected
+
+    def test_every_forest_replays_once(self, monkeypatch):
+        calls = []
+
+        def spy(a, b, k):
+            calls.append(k)
+            return _replay(a, b, k)
+
+        for module in (grid, pairing, pathdyn, morphology):
+            if hasattr(module, "_replay"):
+                monkeypatch.setattr(module, "_replay", spy)
+        fuse = lambda f: _fuse_levels(  # noqa: E731
+            np.array([1, 2]), np.array([0, 0]), np.array([0.5, 1.0]), np.array([1]), np.array([2]), 3)
+        counts = []
+        for run in (build_merge_tree, oracle_columns, fuse, _dynamics_columns):
+            calls.clear()
+            run(ScalarField((9, 11), np.random.default_rng(5).integers(0, 4, 99).astype(float)))
+            counts.append(len(calls))
+        assert counts == [1, 1, 1, 0]

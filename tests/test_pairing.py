@@ -25,6 +25,7 @@ from dynpers import (
     pairing_signature,
     pairs_to_json,
     persistence_diagram,
+    saliency,
 )
 from dynpers import cli, grid, morphology, pairing
 from dynpers.equivalence import GeneratorSpec, generate
@@ -454,10 +455,12 @@ class TestPersistenceRouteBuildsNoNeighborLists:
             raise AssertionError("the merge tree built the neighbor table")
 
         monkeypatch.setattr(grid, "neighbor_table", forbidden)
-        for module in (grid, pairing, morphology):
-            monkeypatch.setattr(module, "_neighbor_table", forbidden)
+        for module in (grid, pairing, morphology):  # morphology has no such name; keep it so
+            monkeypatch.setattr(module, "_neighbor_table", forbidden, raising=False)
         for run in (build_merge_tree, _persistence_columns, lambda f: filter_dynamics(f, 1.5)):
             run(self.fresh())
+        # nor does saliency's edge map, where its watershed needs no queue flood
+        saliency(ScalarField((9, 11), np.random.default_rng(5).uniform(0.0, 1.0, 99)))
 
     def test_dynamics_route_and_verify_build_none_either(self, capsys, monkeypatch):
         # the flood walks lower-neighbor rows and the oracle the offset slices
