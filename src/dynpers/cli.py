@@ -19,7 +19,15 @@ import numpy as np
 
 from .errors import DivergenceError, FormatError, UsageError
 from .grid import Connectivity, ScalarField
-from .formats import FORMATS, _read_ascii, parse_field, sniff_format, write_field
+from .formats import (
+    FORMATS,
+    _field_parts,
+    _read_ascii,
+    _sliced,
+    _write_parts,
+    parse_field,
+    sniff_format,
+)
 from .pairing import _dynamics_columns, _persistence_columns
 from .pathdyn import dynamics_oracle
 from .equivalence import KINDS, GeneratorSpec, _divergent_minimum, generate, sweep
@@ -66,16 +74,25 @@ def _read_input(path: str, fmt: str | None, connectivity, invert: bool):
     return field, fmt
 
 
-def _emit_text(text: str, path: str):
+def _emit(parts, path: str):
+    """Write ``parts`` (:func:`formats._write_parts`) to ``path``, or to
+    stdout for ``-``.  Callers build the parts, and so run every check,
+    before this opens the output."""
     if path == "-" or path is None:
-        sys.stdout.write(text)
+        _write_parts(parts, sys.stdout)
     else:
         with open(path, "w", encoding="ascii") as fh:
-            fh.write(text)
+            _write_parts(parts, fh)
 
 
 def _emit_json(obj, path: str):
-    _emit_text(_json_text(obj) + "\n", path)
+    _emit(_json_parts(obj) + ["\n"], path)
+
+
+def _emit_field(field: ScalarField, path: str, fmt: str, invert: bool = False):
+    if invert:
+        field = ScalarField(field.shape, -field.values, field.connectivity)
+    _emit(_field_parts(field, fmt), path)
 
 
 class _Records:
@@ -109,94 +126,135 @@ def _plain(obj):
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
-def _json_text(obj) -> str:
-    """``json.dumps(obj, indent=2, allow_nan=False, default=_plain)``, byte for
-    byte, written by columns where the commands' output has them.
+def _json_parts(obj) -> list:
+    """The text of ``json.dumps(obj, indent=2, allow_nan=False,
+    default=_plain)`` as parts for :func:`formats._write_parts`, formatted by
+    columns where the commands' output has them.
 
     ``json.dumps`` with an indent runs the pure-Python encoder, one generator
     step per value.  Here the forms the commands emit are formatted a column
     at a time: a str-keyed dict member by member, a 1D or 2D numpy array of
     floats or ints, and :class:`_Records` and :class:`_EdgeMap` by one ``%``
     over a row or member template repeated once per row.  Each float column
-    goes through ``repr`` once per distinct bit pattern (so ``-0.0`` stays
-    itself).  Everything else goes to ``json``.  A non-finite float in a
-    column hands the whole tree to ``json`` again, so it raises ``json``'s
-    own ``ValueError``.
+    goes through ``repr`` once per distinct bit pattern of a slice (so
+    ``-0.0`` stays itself).  Everything else goes to ``json``.
+
+    The columns' text is formatted only as the parts are written,
+    ``formats._ROWS`` rows per slice, so the whole text never exists at
+    once; everything else runs here.  So does the finite check of every
+    float column: a NaN or infinity in one hands the whole tree to ``json``
+    again, which raises ``json``'s own ``ValueError`` before any output is
+    opened.
     """
     try:
-        return _indented(obj, "")
+        return _parts(obj, "")
     except _NonFinite:
-        return json.dumps(obj, indent=2, allow_nan=False, default=_plain)
+        return [json.dumps(obj, indent=2, allow_nan=False, default=_plain)]
 
 
 class _NonFinite(Exception):
     """A NaN or infinity somewhere in a column."""
 
 
-def _bracketed(brackets: str, texts, pad: str) -> str:
+def _finite(column):
+    if not np.isfinite(column).all():
+        raise _NonFinite
+    return column
+
+
+def _bracketed(brackets: str, members, pad: str) -> list:
+    """The parts of a JSON array or object: the parts of each member, in
+    ``members``, between ``brackets`` at ``pad``."""
     inner = pad + "  "
-    return brackets[0] + "\n" + inner + (",\n" + inner).join(texts) + "\n" + pad + brackets[1]
+    parts = [brackets[0] + "\n" + inner]
+    for i, member in enumerate(members):
+        if i:
+            parts.append(",\n" + inner)
+        parts += member
+    parts.append("\n" + pad + brackets[1])
+    return parts
 
 
-def _indented(obj, pad: str) -> str:
+def _parts(obj, pad: str) -> list:
     kind = type(obj)
     inner = pad + "  "
     if kind is dict and obj and set(map(type, obj)) == {str}:
-        texts = [_indented(x, inner) for x in obj.values()]
-        return _bracketed("{}", map(": ".join, zip(map(encode_basestring_ascii, obj), texts)), pad)
+        members = [[encode_basestring_ascii(k) + ": ", *_parts(x, inner)] for k, x in obj.items()]
+        return _bracketed("{}", members, pad)
     if kind is np.ndarray and obj.size and obj.ndim <= 2 and obj.dtype.kind in "fiu":
-        return _bracketed("[]", _array_texts(obj, inner), pad)
+        if obj.dtype.kind == "f":
+            _finite(obj)
+        return _bracketed("[]", [[_array_slices(obj, inner)]], pad)
     if kind is _Records and (obj.columns[0].size or obj.rest):
-        return _bracketed("[]", _record_texts(obj, inner), pad)
+        rows = [[_record_slices(obj, inner)]] if obj.columns[0].size else []
+        return _bracketed("[]", rows + [_parts(x, inner) for x in obj.rest], pad)
     if kind is _EdgeMap and obj.heads.size:
-        columns = (obj.heads.tolist(), obj.tails.tolist(), _float_texts(obj.values))
-        return _bracketed("{}", [_joined_rows('"%d,%d": %s', columns, inner)], pad)
+        heads, tails, values = obj.heads, obj.tails, _finite(obj.values)
+
+        def text(lo, hi):
+            columns = (heads[lo:hi].tolist(), tails[lo:hi].tolist(), _float_texts(values[lo:hi]))
+            return _joined_rows('"%d,%d": %s', columns, inner)
+
+        return _bracketed("{}", [[_sliced(heads.size, text, ",\n" + inner)]], pad)
     text = json.dumps(obj, indent=2, allow_nan=False, default=_plain)
-    return text.replace("\n", "\n" + pad)
+    return [text.replace("\n", "\n" + pad)]
 
 
 def _float_texts(values) -> list:
     """``repr`` of each float, once per distinct bit pattern (so ``-0.0``
     keeps its own text)."""
     values = np.asarray(values, dtype=np.float64)
-    if not np.isfinite(values).all():
-        raise _NonFinite
     # return_inverse keeps np.unique from importing numpy.ma (numpy 2.4)
     bits, which = np.unique(values.view(np.int64), return_inverse=True)
     texts = np.array([*map(repr, bits.view(np.float64).tolist())], dtype=object)
     return texts[which].tolist()
 
 
-def _array_texts(array, pad: str) -> list:
-    """The texts of a 1D float or int array's entries, or of a 2D one's rows,
-    each row through one template."""
-    flat = array.reshape(-1)
-    texts = _float_texts(flat) if array.dtype.kind == "f" else [*map(repr, flat.tolist())]
+def _array_slices(array, pad: str):
+    """The slices of a 1D float or int array's entries, or of a 2D one's
+    rows, each row through one template, joined at ``pad``."""
+    sep = ",\n" + pad
     if array.ndim == 1:
-        return texts
-    width = array.shape[1]
-    inner = pad + "  "
-    template = "[\n" + inner + (",\n" + inner).join(["%s"] * width) + "\n" + pad + "]"
-    return [*map(template.__mod__, zip(*[iter(texts)] * width))]
+        def text(lo, hi):
+            return sep.join(_entry_texts(array[lo:hi]))
+    else:
+        width = array.shape[1]
+        inner = pad + "  "
+        template = "[\n" + inner + (",\n" + inner).join(["%s"] * width) + "\n" + pad + "]"
+
+        def text(lo, hi):
+            texts = _entry_texts(array[lo:hi].reshape(-1))
+            return sep.join(map(template.__mod__, zip(*[iter(texts)] * width)))
+
+    return _sliced(len(array), text, sep)
 
 
-def _record_texts(records: _Records, pad: str) -> list:
-    """The texts of the objects of ``records``: its rows as one text
-    (:func:`_joined_rows`), int columns formatted with ``%d``, then one text
-    per object of ``rest``."""
+def _entry_texts(flat) -> list:
+    return _float_texts(flat) if flat.dtype.kind == "f" else [*map(repr, flat.tolist())]
+
+
+def _record_slices(records: _Records, pad: str):
+    """The slices of the rows of ``records`` (:func:`_joined_rows`), int
+    columns formatted with ``%d``."""
     inner = pad + "  "
     ints = [c.dtype.kind in "iu" for c in records.columns]
-    columns = [
-        c.tolist() if is_int else _array_texts(c, inner)
-        for c, is_int in zip(records.columns, ints)
-    ]
+    for column, is_int in zip(records.columns, ints):
+        if not is_int:
+            _finite(column)
     fields = [
         encode_basestring_ascii(k).replace("%", "%%") + (": %d" if is_int else ": %s")
         for k, is_int in zip(records.keys, ints)
     ]
     template = "{\n" + inner + (",\n" + inner).join(fields) + "\n" + pad + "}"
-    rows = [_joined_rows(template, columns, pad)] if columns[0] else []
-    return rows + [_indented(x, pad) for x in records.rest]
+
+    def text(lo, hi):
+        columns = [
+            c[lo:hi].tolist() if is_int else _float_texts(c[lo:hi])
+            for c, is_int in zip(records.columns, ints)
+        ]
+        return _joined_rows(template, columns, pad)
+
+    return _sliced(records.columns[0].size, text, ",\n" + pad)
 
 
 def _joined_rows(template: str, columns, pad: str) -> str:
@@ -208,12 +266,6 @@ def _joined_rows(template: str, columns, pad: str) -> str:
     for j, column in enumerate(columns):
         flat[j::width] = column
     return (",\n" + pad).join([template] * rows) % tuple(flat)
-
-
-def _emit_field(field: ScalarField, path: str, fmt: str, invert: bool):
-    if invert:
-        field = ScalarField(field.shape, -field.values, field.connectivity)
-    _emit_text(write_field(field, fmt=fmt), path)
 
 
 def _field_output_format(args, input_fmt: str, field: ScalarField) -> str:
@@ -375,7 +427,7 @@ def _cmd_watershed(args, conn, invert) -> int:
     field, _ = _read_input(args.input, args.format, conn, invert)
     labels = watershed(field)
     label_field = ScalarField(field.shape, labels._labels, field.connectivity)
-    _emit_text(write_field(label_field, fmt=_labels_format(labels)), args.output)
+    _emit_field(label_field, args.output, _labels_format(labels))
     return EXIT_OK
 
 
@@ -383,7 +435,7 @@ def _cmd_saliency(args, conn, invert) -> int:
     field, _ = _read_input(args.input, args.format, conn, invert)
     sal = saliency(field)
     if args.as_field:
-        _emit_text(write_field(saliency_to_field(sal), fmt="field-nd"), args.output)
+        _emit_field(saliency_to_field(sal), args.output, "field-nd")
     else:
         _emit_json(_EdgeMap(sal.heads, sal.tails, sal.values), args.output)
     return EXIT_OK
@@ -442,7 +494,7 @@ def _cmd_gen(args, conn, invert) -> int:
     )
     field = generate(spec)
     fmt = args.output_format or ("csv-1d" if field.ndim == 1 else "field-nd")
-    _emit_field(field, args.output, fmt, invert=False)
+    _emit_field(field, args.output, fmt)
     return EXIT_OK
 
 

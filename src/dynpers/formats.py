@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import io
 import os
+import re
 
 import numpy as np
 
@@ -19,10 +20,20 @@ from .grid import Connectivity, ScalarField
 
 FORMATS = ("csv-1d", "pgm-2d", "field-nd")
 
+# Text is written _ROWS rows (values, records, members) at a time and parsed
+# about _CHARS characters at a time, so neither side ever holds a Python
+# object per value of the whole field.
+_ROWS = 4096
+_CHARS = 1 << 16
+
+_SPACE = re.compile(r"\s")  # exactly the characters where str.isspace() is true
+_NON_SPACE = re.compile(r"\S")
+
 
 def sniff_format(text: str) -> str:
     """Guess the format from the first token of the file body."""
-    head = text.lstrip()[:16]
+    start = _NON_SPACE.search(text)
+    head = text[start.start():start.start() + 16] if start else ""
     if head.startswith("P2"):
         return "pgm-2d"
     if head.startswith("FIELD"):
@@ -83,19 +94,9 @@ def parse_field(text: str, fmt: str | None = None, connectivity=Connectivity.AXI
 
 def write_field(field: ScalarField, target=None, fmt: str | None = None) -> str:
     """Serialize a field; returns the text and writes it to ``target`` if given."""
-    if fmt is None:
-        fmt = "csv-1d" if field.ndim == 1 else "field-nd"
-    if fmt == "csv-1d":
-        if field.ndim != 1:
-            raise UsageError(f"csv-1d stores 1D fields only, got shape {field.shape}")
-        text = _lines(field.values)
-    elif fmt == "pgm-2d":
-        text = _write_pgm2d(field)
-    elif fmt == "field-nd":
-        header = "FIELD " + str(field.ndim) + " " + " ".join(str(e) for e in field.shape)
-        text = header + "\n" + _lines(field.values)
-    else:
-        raise UsageError(f"unknown field format {fmt!r}; expected one of {FORMATS}")
+    out = io.StringIO()
+    _write_parts(_field_parts(field, fmt), out)
+    text = out.getvalue()
     if target is not None:
         if hasattr(target, "write"):
             target.write(text)
@@ -105,34 +106,99 @@ def write_field(field: ScalarField, target=None, fmt: str | None = None) -> str:
     return text
 
 
-def _lines(values) -> str:
+def _field_parts(field: ScalarField, fmt: str | None) -> list:
+    """The text of ``field`` in ``fmt`` as parts for :func:`_write_parts`.
+
+    Every check runs here, before any text is formatted, so a caller can
+    open its output after this returns and nothing but I/O can fail later.
+    """
+    if fmt is None:
+        fmt = "csv-1d" if field.ndim == 1 else "field-nd"
+    if fmt == "csv-1d":
+        if field.ndim != 1:
+            raise UsageError(f"csv-1d stores 1D fields only, got shape {field.shape}")
+        return [_lines(field.values)]
+    if fmt == "pgm-2d":
+        return _pgm2d_parts(field)
+    if fmt == "field-nd":
+        header = "FIELD " + str(field.ndim) + " " + " ".join(str(e) for e in field.shape)
+        return [header + "\n", _lines(field.values)]
+    raise UsageError(f"unknown field format {fmt!r}; expected one of {FORMATS}")
+
+
+def _write_parts(parts, out) -> None:
+    """Write ``parts`` to the text stream ``out``: each part is a string or
+    an iterable of strings (a generator of slices)."""
+    for part in parts:
+        if type(part) is str:
+            out.write(part)
+        else:
+            out.writelines(part)
+
+
+def _sliced(rows: int, text, sep: str, step: int = _ROWS):
+    """``text(lo, hi)`` for each slice of ``step`` of the ``rows`` rows,
+    ``sep`` between two slices."""
+    for lo in range(0, rows, step):
+        if lo:
+            yield sep
+        yield text(lo, min(lo + step, rows))
+
+
+def _lines(values):
+    """The slices of one value per line, every line ended."""
     # repr() is the shortest string that round-trips the double exactly.
-    return "\n".join(map(repr, values.tolist())) + "\n"
+    def text(lo, hi):
+        return "\n".join(map(repr, values[lo:hi].tolist())) + "\n"
+
+    return _sliced(values.size, text, "")
 
 
 def _read_csv1d(text: str, connectivity) -> ScalarField:
-    lines = text.splitlines()
-    try:
-        values = list(map(float, filter(None, map(str.strip, lines))))
-    except ValueError:
-        for lineno, raw in enumerate(lines, start=1):
-            line = raw.strip()
-            if line:
-                try:
-                    float(line)
-                except ValueError:
-                    raise FormatError(
-                        f"csv-1d: non-numeric token {line!r} on line {lineno}"
-                    ) from None
-        raise
-    if not values:
+    values = np.empty(text.count("\n") + 1)  # grown if lines end otherwise
+    found = lineno = 0
+    for lines in _line_slices(text):
+        try:
+            floats = [*map(float, filter(None, map(str.strip, lines)))]
+        except ValueError:
+            for lineno, raw in enumerate(lines, start=lineno + 1):
+                line = raw.strip()
+                if line:
+                    try:
+                        float(line)
+                    except ValueError:
+                        raise FormatError(
+                            f"csv-1d: non-numeric token {line!r} on line {lineno}"
+                        ) from None
+            raise
+        if found + len(floats) > values.size:
+            values = np.concatenate((values[:found], np.empty(found + len(floats))))
+        values[found:found + len(floats)] = floats
+        found += len(floats)
+        lineno += len(lines)
+    if not found:
         raise FormatError("csv-1d: no values found")
-    return ScalarField((len(values),), values, connectivity)
+    return ScalarField((found,), values[:found], connectivity)
+
+
+def _line_slices(text: str):
+    """``text.splitlines()``, about :data:`_CHARS` characters at a time.
+    Each cut falls just after a line feed, which ends a line (a carriage
+    return before it included), so the slices' lines are exactly the whole
+    text's lines."""
+    pos, end = 0, len(text)
+    while pos < end:
+        cut = text.find("\n", pos + _CHARS) + 1 or end
+        yield text[pos:cut].splitlines()
+        pos = cut
 
 
 def _read_fieldnd(text: str, connectivity) -> ScalarField:
-    head, _, rest = text.lstrip().partition("\n")
-    header = head.split()
+    start = _NON_SPACE.search(text)
+    start = start.start() if start else len(text)
+    stop = text.find("\n", start)
+    body = len(text) if stop < 0 else stop + 1
+    header = text[start:body].split()
     if not header or header[0] != "FIELD":
         raise FormatError("field-nd: missing FIELD magic in header")
     try:
@@ -142,30 +208,57 @@ def _read_fieldnd(text: str, connectivity) -> ScalarField:
         raise FormatError("field-nd: malformed header, expected 'FIELD <ndim> <e1> ...'") from None
     if ndim < 1 or len(shape) != ndim or any(e < 1 for e in shape):
         raise FormatError(f"field-nd: bad header, ndim={ndim} but extents {shape}")
-    body = rest.split()
     n = 1
     for e in shape:
         n *= e
-    if len(body) != n:
-        raise FormatError(f"field-nd: expected {n} values for shape {shape}, found {len(body)}")
-    try:
-        values = list(map(float, body))
-    except ValueError:
-        for offset, tok in enumerate(body):
+    # Each value takes a character and a separator; a header asking for more
+    # cannot match the body, whose tokens are then only counted.
+    values = np.empty(n if n <= (len(text) - body + 1) // 2 else 0)
+    found, bad = 0, None
+    for tokens in _token_slices(text, body):
+        if bad is None and found + len(tokens) <= values.size:
             try:
-                float(tok)
+                values[found:found + len(tokens)] = [*map(float, tokens)]
             except ValueError:
-                raise FormatError(
-                    f"field-nd: non-numeric token {tok!r} at value offset {offset}"
-                ) from None
-        raise
+                offset = _first_rejected(float, tokens)
+                bad = (tokens[offset], found + offset)
+        found += len(tokens)
+    if found != n:
+        raise FormatError(f"field-nd: expected {n} values for shape {shape}, found {found}")
+    if bad is not None:
+        raise FormatError("field-nd: non-numeric token %r at value offset %d" % bad)
     return ScalarField(shape, values, connectivity)
+
+
+def _token_slices(text: str, pos: int):
+    """``text[pos:].split()``, about :data:`_CHARS` characters at a time.
+    Each cut falls on a whitespace character, so no token straddles two
+    slices."""
+    end = len(text)
+    while pos < end:
+        cut = pos + _CHARS
+        if cut < end:
+            space = _SPACE.search(text, cut)
+            cut = space.start() if space else end
+        yield text[pos:cut].split()
+        pos = cut
+
+
+def _first_rejected(convert, tokens) -> int:
+    """The index of the first token that ``convert`` rejects with ``ValueError``."""
+    for offset, tok in enumerate(tokens):
+        try:
+            convert(tok)
+        except ValueError:
+            return offset
+    raise AssertionError("every token converts")
 
 
 def _read_pgm2d(text: str, connectivity) -> ScalarField:
     # Strip comment lines before tokenizing; P2 allows '#' to end of line.
-    stripped = "\n".join(line.split("#", 1)[0] for line in text.splitlines())
-    tokens = stripped.split()
+    if "#" in text:
+        text = "\n".join(line.split("#", 1)[0] for line in text.splitlines())
+    tokens = text.split()
     if not tokens or tokens[0] != "P2":
         raise FormatError("pgm-2d: missing P2 magic")
     try:
@@ -179,19 +272,25 @@ def _read_pgm2d(text: str, connectivity) -> ScalarField:
         raise FormatError(
             f"pgm-2d: expected {width * height} pixels for {width}x{height}, found {len(body)}"
         )
-    values = []
-    for offset, tok in enumerate(body):
-        try:
-            pix = int(tok)
-        except ValueError:
-            raise FormatError(f"pgm-2d: non-numeric pixel {tok!r} at offset {offset}") from None
-        if not 0 <= pix <= maxval:
-            raise FormatError(f"pgm-2d: pixel {pix} at offset {offset} exceeds maxval {maxval}")
-        values.append(float(pix))
+    try:
+        pixels = [*map(int, body)]
+    except ValueError:
+        offset = _first_rejected(int, body)
+        raise FormatError(f"pgm-2d: non-numeric pixel {body[offset]!r} at offset {offset}") from None
+    try:
+        values = np.array(pixels, dtype=np.float64)
+        inside = (values >= 0) & (values <= maxval)
+    except OverflowError:  # an integer past float64's range is out of range too
+        inside = np.array([0 <= pix <= maxval for pix in pixels])
+    if not inside.all():
+        offset = int(inside.argmin())
+        raise FormatError(
+            f"pgm-2d: pixel {pixels[offset]} at offset {offset} exceeds maxval {maxval}"
+        )
     return ScalarField((height, width), values, connectivity)
 
 
-def _write_pgm2d(field: ScalarField) -> str:
+def _pgm2d_parts(field: ScalarField) -> list:
     if field.ndim != 2:
         raise UsageError(f"pgm-2d stores 2D fields only, got shape {field.shape}")
     ints = np.rint(field.values).astype(np.int64)
@@ -201,8 +300,10 @@ def _write_pgm2d(field: ScalarField) -> str:
     if maxval > 65535:
         raise UsageError(f"pgm-2d maxval {maxval} exceeds 65535")
     height, width = field.shape
-    out = io.StringIO()
-    out.write(f"P2\n{width} {height}\n{maxval}\n")
-    for row in ints.reshape(field.shape).tolist():
-        out.write(" ".join(map(repr, row)) + "\n")
-    return out.getvalue()
+    row = " ".join(["%d"] * width) + "\n"
+
+    def text(lo, hi):
+        return (row * (hi - lo)) % tuple(ints[lo * width:hi * width].tolist())
+
+    header = f"P2\n{width} {height}\n{maxval}\n"
+    return [header, _sliced(height, text, "", max(1, _ROWS // width))]

@@ -402,6 +402,14 @@ def _geometry(field: ScalarField) -> tuple:
     return field._geometry_cache
 
 
+def _with_values(field: ScalarField, values) -> ScalarField:
+    """A field of ``values`` on the grid of ``field``, sharing its cached
+    :func:`_geometry`, which depends on the shape and connectivity alone."""
+    out = ScalarField(field.shape, values, field.connectivity)
+    object.__setattr__(out, "_geometry_cache", _geometry(field))
+    return out
+
+
 def _descent_basins(field: ScalarField) -> tuple:
     """``(minima, basin, step)``: the local minima sorted by the total order,
     per vertex the age of the minimum its steepest descent ends at (its index

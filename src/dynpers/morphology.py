@@ -30,6 +30,7 @@ from .grid import (
     _geometry,
     _jump,
     _replay,
+    _with_values,
     filtration_order,
 )
 from .pairing import _persistence_columns, build_merge_tree
@@ -274,7 +275,7 @@ def filter_dynamics(field: ScalarField, t: float) -> ScalarField:
         up = nxt
     owner = top[basin]
     out = np.where(rank < owner, field.values[order[owner]], field.values)
-    return ScalarField(field.shape, out, field.connectivity)
+    return _with_values(field, out)
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dynpers.cli as cli
+import dynpers.formats as formats
 import dynpers.morphology as morphology
 import dynpers.pairing as pairing
 from dynpers import (
@@ -48,6 +50,13 @@ def run_cli(argv, stdin=""):
         text=True,
     )
     return proc
+
+
+def json_text(obj) -> str:
+    """The CLI's JSON text of ``obj``: its writer run into a string."""
+    out = io.StringIO()
+    cli._write_parts(cli._json_parts(obj), out)
+    return out.getvalue()
 
 
 def run_main(argv, stdin, capsys, monkeypatch):
@@ -675,7 +684,7 @@ class TestJsonText:
     @settings(max_examples=200)
     @given(JSON_TREES)
     def test_matches_json_dumps(self, obj):
-        assert cli._json_text(obj) == json.dumps(obj, indent=2, allow_nan=False)
+        assert json_text(obj) == json.dumps(obj, indent=2, allow_nan=False)
 
     @settings(max_examples=100)
     @given(JSON_TREES, st.sampled_from([math.nan, math.inf, -math.inf]), st.integers(0, 3))
@@ -684,13 +693,13 @@ class TestJsonText:
         with pytest.raises(ValueError) as expected:
             json.dumps(tree, indent=2, allow_nan=False)
         with pytest.raises(ValueError) as got:
-            cli._json_text(tree)
+            json_text(tree)
         assert str(got.value) == str(expected.value)
 
     def test_signed_zeros_and_repeats_keep_their_bits(self):
         column = [0.0, -0.0, 0.1, 0.1, -0.0, 5e-324, 1e16, 0.0] * 4
         obj = {"c": column, "rows": [[b, -b] for b in column]}
-        assert cli._json_text(obj) == json.dumps(obj, indent=2, allow_nan=False)
+        assert json_text(obj) == json.dumps(obj, indent=2, allow_nan=False)
 
     def test_column_forms_match_json_dumps_of_their_plain_value(self):
         rng = np.random.default_rng(7)
@@ -708,17 +717,17 @@ class TestJsonText:
         ]
         obj = {"forms": forms, "nested": [forms[3], {"e": forms[6], "x": 0.1}], "f": floats[1]}
         plain = json.dumps(obj, indent=2, allow_nan=False, default=cli._plain)
-        assert cli._json_text(obj) == plain
+        assert json_text(obj) == plain
         for form in forms:
-            assert cli._json_text(form) == json.dumps(form, indent=2, default=cli._plain)
+            assert json_text(form) == json.dumps(form, indent=2, default=cli._plain)
         with pytest.raises(ValueError):
-            cli._json_text({"bad": cli._EdgeMap(ints[:1], ints[:1], np.array([math.inf]))})
+            json_text({"bad": cli._EdgeMap(ints[:1], ints[:1], np.array([math.inf]))})
 
     @settings(max_examples=200)
     @given(COLUMN_TREES)
     def test_column_forms_at_any_depth_match_json_dumps(self, obj):
         plain = json.dumps(obj, indent=2, allow_nan=False, default=cli._plain)
-        assert cli._json_text(obj) == plain
+        assert json_text(obj) == plain
 
     @settings(max_examples=100)
     @given(st.integers(1, 4), st.integers(1, 3), st.data(),
@@ -733,7 +742,7 @@ class TestJsonText:
         with pytest.raises(ValueError) as expected:
             json.dumps(tree, indent=2, allow_nan=False, default=cli._plain)
         with pytest.raises(ValueError) as got:
-            cli._json_text(tree)
+            json_text(tree)
         assert str(got.value) == str(expected.value)
 
 
@@ -948,3 +957,88 @@ assert main(argv) == 0, argv
         proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
+
+
+R = formats._ROWS
+
+
+def _writer_forms(size):
+    """Each output form the writer slices, ``size`` rows long."""
+    rng = np.random.default_rng(size)
+    floats = rng.choice([0.0, -0.0, 0.1, 1e16, 5e-324, -2.5, 1 / 3], size)
+    ints = rng.integers(-5, 10**6, size)
+    ends = np.arange(size)
+    keys = ("min_index", "birth", "value")
+    records = cli._Records(keys, (ints, floats, floats), [])
+    return {
+        "floats": floats,
+        "ints": ints,
+        "diagram": np.stack((floats, floats + 1.0), axis=1),
+        "records": records,
+        "records-rest": cli._Records(keys, (ints, floats, floats),
+                                     [{"min_index": 0, "birth": 0.5, "value": "inf"}]),
+        "edge-map": cli._EdgeMap(ends, ends + 1, floats),
+        "nested": {"threshold": 0.5, "labels": ints, "filtered": floats, "pairs": records,
+                   "curve": {"breakpoints": floats, "counts": ints}, "edges": {"e": [
+                       cli._EdgeMap(ends, ends + 1, floats)]}},
+    }
+
+
+class TestSlicedJsonWriter:
+    @pytest.mark.parametrize("size", [0, 1, R - 1, R, R + 1, 2 * R + 1])
+    def test_every_form_equals_json_dumps_to_a_file_and_to_stdout(self, size, tmp_path, capsys):
+        for name, obj in _writer_forms(size).items():
+            expected = json.dumps(obj, indent=2, allow_nan=False, default=cli._plain) + "\n"
+            path = tmp_path / "out.json"
+            cli._emit_json(obj, str(path))
+            assert path.read_text(encoding="ascii") == expected, name
+            cli._emit_json(obj, "-")
+            assert capsys.readouterr().out == expected, name
+
+    def test_memory_stays_below_a_quarter_of_the_output(self, tmp_path):
+        # the whole text would take at least the output's size
+        n = 64 * R
+        rng = np.random.default_rng(3)
+        ends = np.arange(n)
+        edges = cli._EdgeMap(ends, ends + 1, rng.uniform(size=n))
+        field = ScalarField((n,), rng.uniform(size=n))
+        path = tmp_path / "out.txt"
+        for write in (lambda: cli._emit_json(edges, str(path)),
+                      lambda: cli._emit_field(field, str(path), "field-nd")):
+            tracemalloc.start()
+            try:
+                write()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < path.stat().st_size / 4
+
+
+class TestRefusedRequests:
+    NEGATIVE_2D = "FIELD 2 2 2\n-1 0 1 2\n"
+
+    @pytest.mark.parametrize("argv, text", [
+        (["filter", "--t", "3"], SIGNAL_CSV),  # the pair value of minimum 1
+        (["filter", "--t", "100", "--output-format", "pgm-2d"], NEGATIVE_2D),
+        (["filter", "--t", "100", "--output-format", "csv-1d"], NEGATIVE_2D),
+    ], ids=["collision", "pgm-negative", "csv-2d"])
+    def test_leave_no_output_file(self, argv, text, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "out.txt"
+        code, out, err = run_main(argv + ["--output", str(path)], text, capsys, monkeypatch)
+        assert (code, out) == (1, "") and err.startswith("dynpers: error:")
+        assert not path.exists()
+
+    def test_unwritable_output_exits_2(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "missing" / "out.txt"
+        code, out, err = run_main(["pairs", "--output", str(path)], SIGNAL_CSV, capsys, monkeypatch)
+        assert (code, out) == (2, "") and err.startswith("dynpers: i/o error:")
+
+
+def test_segment_bytes_do_not_depend_on_the_shared_geometry(capsys, monkeypatch):
+    text = _golden_inputs()["2d-plateaus"][1]
+    argv = ["segment", "--t", "0.5"]
+    shared = run_main(argv, text, capsys, monkeypatch)
+    monkeypatch.setattr(morphology, "_with_values",
+                        lambda field, values: ScalarField(field.shape, values, field.connectivity))
+    assert run_main(argv, text, capsys, monkeypatch) == shared
+    assert shared[0] == 0

@@ -3,6 +3,7 @@ import re
 import numpy as np
 import pytest
 
+import dynpers.formats as formats
 from dynpers import (
     FormatError,
     ScalarField,
@@ -140,3 +141,192 @@ def test_read_field_rejects_non_ascii(tmp_path, data, offset):
     with open(path, encoding="utf-8") as fh:
         with pytest.raises(FormatError, match=f": non-ASCII character at offset {offset}$"):
             read_field(fh)
+
+
+# --- sliced writer and readers ---------------------------------------------
+
+R = formats._ROWS
+LENGTHS = (1, R - 1, R, R + 1, 2 * R + 1)
+# every ASCII character where str.isspace() is true
+ASCII_SPACES = " \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f"
+
+
+def reference_write_field(field, fmt):
+    """The whole-text writer the sliced one replaced, kept as the reference."""
+    def lines(values):
+        return "\n".join(map(repr, values.tolist())) + "\n"
+
+    if fmt == "csv-1d":
+        return lines(field.values)
+    if fmt == "field-nd":
+        return "FIELD " + str(field.ndim) + " " + " ".join(map(str, field.shape)) + "\n" + lines(
+            field.values)
+    ints = np.rint(field.values).astype(np.int64)
+    height, width = field.shape
+    out = [f"P2\n{width} {height}\n{max(1, int(ints.max()))}\n"]
+    for row in ints.reshape(field.shape).tolist():
+        out.append(" ".join(map(repr, row)) + "\n")
+    return "".join(out)
+
+
+def reference_read_csv1d(text):
+    """The whole-text csv-1d reader, kept as the reference: ``(values, message)``."""
+    lines = text.splitlines()
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if line:
+            try:
+                float(line)
+            except ValueError:
+                return None, f"csv-1d: non-numeric token {line!r} on line {lineno}"
+    values = [float(line) for line in map(str.strip, lines) if line]
+    return (values, None) if values else (None, "csv-1d: no values found")
+
+
+def reference_read_fieldnd(text):
+    """The whole-text field-nd reader's body (header already valid), kept as
+    the reference: ``(values, message)``."""
+    head, _, rest = text.lstrip().partition("\n")
+    shape = tuple(int(t) for t in head.split()[2:])
+    body = rest.split()
+    n = int(np.prod(shape))
+    if len(body) != n:
+        return None, f"field-nd: expected {n} values for shape {shape}, found {len(body)}"
+    for offset, tok in enumerate(body):
+        try:
+            float(tok)
+        except ValueError:
+            return None, f"field-nd: non-numeric token {tok!r} at value offset {offset}"
+    return list(map(float, body)), None
+
+
+def parsed(text, fmt):
+    try:
+        field = parse_field(text, fmt)
+    except FormatError as exc:
+        return None, str(exc)
+    return field.values.tolist(), None
+
+
+def same_parse(got, expected):
+    """Equal messages, or values equal bit for bit (signed zeros included)."""
+    (values, message), (ref_values, ref_message) = got, expected
+    assert message == ref_message
+    if ref_values is not None:
+        assert np.array_equal(np.array(values).view(np.int64), np.array(ref_values).view(np.int64))
+
+
+class TestSlicedWriter:
+    @pytest.mark.parametrize("n", LENGTHS)
+    def test_csv_and_fieldnd_equal_the_whole_text(self, n, tmp_path):
+        values = np.random.default_rng(n).choice([0.0, -0.0, 0.1, 1e16, 5e-324, -2.5, 1 / 3], n)
+        for field, fmt in ((ScalarField((n,), values), "csv-1d"),
+                           (ScalarField((n,), values), "field-nd"),
+                           (ScalarField((1, n, 1), values), "field-nd")):
+            expected = reference_write_field(field, fmt)
+            assert write_field(field, fmt=fmt) == expected
+            path = tmp_path / "out.txt"
+            assert write_field(field, path, fmt=fmt) == expected
+            assert path.read_text(encoding="ascii") == expected
+
+    @pytest.mark.parametrize("width", [1, 3, R - 1, R, R + 1])
+    def test_pgm_equals_the_whole_text(self, width):
+        step = max(1, R // width)  # image rows per slice
+        rng = np.random.default_rng(width)
+        for height in sorted({1, step - 1, step, step + 1, 2 * step + 1} - {0}):
+            field = ScalarField((height, width), rng.integers(0, 70, height * width))
+            assert write_field(field, fmt="pgm-2d") == reference_write_field(field, "pgm-2d")
+
+
+class TestSlicedReaders:
+    """The readers cut the text every ``_CHARS`` characters or so; with tiny
+    slices every token and line straddles a cut somewhere."""
+
+    TOKENS = ["0", "-0.0", "1e16", "5e-324", "0.1", "-2.5", "1_0", "+7", "123456789.25"]
+
+    def texts(self, seps, count):
+        rng = np.random.default_rng(len(seps) * 1000 + count)
+        tokens = rng.choice(self.TOKENS, count).tolist()
+        gaps = rng.choice(list(seps), count).tolist()
+        return tokens, "".join(t + g for t, g in zip(tokens, gaps))
+
+    @pytest.mark.parametrize("chars", [1, 2, 3, 7, 64])
+    @pytest.mark.parametrize("sep", list(ASCII_SPACES) + [ASCII_SPACES], ids=repr)
+    def test_fieldnd_matches_the_whole_text_reader(self, sep, chars, monkeypatch):
+        monkeypatch.setattr(formats, "_CHARS", chars)
+        tokens, body = self.texts(sep, 40)
+        bad = sep.join(tokens[:31] + ["0x7"] + tokens[32:]) + sep
+        cases = [
+            f"FIELD 2 5 8{sep}\n{body}",
+            f"{sep} \nFIELD 1 40\n{body}",  # whitespace before the header
+            f"FIELD 1 39\n{body}",  # too many values
+            f"FIELD 1 41\n{body}",  # too few
+            f"FIELD 1 4100\n{body}",  # more values than the body has characters
+            f"FIELD 1 40\n{bad}",  # a bad token in a later slice
+            f"FIELD 1 39\n{bad}",  # a bad token and too many values: the count wins
+        ]
+        for text in cases:
+            same_parse(parsed(text, "field-nd"), reference_read_fieldnd(text))
+        assert parsed(cases[0], "field-nd")[0] == list(map(float, tokens))
+        assert parsed(cases[5], "field-nd")[1] == (
+            "field-nd: non-numeric token '0x7' at value offset 31")
+
+    @pytest.mark.parametrize("chars", [1, 2, 3, 7, 64])
+    @pytest.mark.parametrize("ends", ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+                                      "\n\r\x0b\x0c\x1c\x1d\x1e"], ids=repr)
+    def test_csv_matches_the_whole_text_reader(self, ends, chars, monkeypatch):
+        monkeypatch.setattr(formats, "_CHARS", chars)
+        tokens, _ = self.texts(" ", 40)
+        rng = np.random.default_rng(chars)
+        pads = rng.choice([" ", "\t", "\x1f", ""], 40).tolist()
+        gaps = rng.choice(list(ends), 40).tolist()
+
+        def text_of(tokens):  # padded lines, an empty line after every third
+            return "".join(pad + tok + pad + gap + "\n" * (k % 3 == 0)
+                           for k, (tok, pad, gap) in enumerate(zip(tokens, pads, gaps)))
+
+        text = text_of(tokens)
+        for case in (text, text_of(tokens[:30] + ["1 2"] + tokens[31:]), text + "nan?",
+                     "\n\n" + " \t\n" * 5):
+            same_parse(parsed(case, "csv-1d"), reference_read_csv1d(case))
+        assert parsed(text, "csv-1d")[0] == list(map(float, tokens))
+
+    def test_non_ascii_whitespace_separates(self, monkeypatch):
+        monkeypatch.setattr(formats, "_CHARS", 2)
+        for text, fmt in (("FIELD 1 3\n1\u20032.5\u00a0-3\u3000", "field-nd"),
+                          ("1\u2028\u2003 2.5 \u2029-3\x85", "csv-1d")):
+            ref = reference_read_fieldnd(text) if fmt == "field-nd" else reference_read_csv1d(text)
+            assert ref == ([1.0, 2.5, -3.0], None)
+            same_parse(parsed(text, fmt), ref)
+
+    def test_slices_of_the_default_size(self):
+        rng = np.random.default_rng(5)
+        values = rng.standard_normal(30_000)
+        text = "".join(f"{v!r}\n" for v in values.tolist())
+        assert len(text) > 8 * formats._CHARS
+        assert np.array_equal(parse_field(text, "csv-1d").values, values)
+        assert np.array_equal(parse_field("FIELD 1 30000\n" + text, "field-nd").values, values)
+        bad = text[:-40] + "x" + text[-40:]
+        for fmt, body in (("csv-1d", bad), ("field-nd", "FIELD 1 30000\n" + bad),
+                          ("field-nd", "FIELD 1 29999\n" + text),
+                          ("field-nd", "FIELD 1 30001\n" + text)):
+            ref = reference_read_csv1d(body) if fmt == "csv-1d" else reference_read_fieldnd(body)
+            same_parse(parsed(body, fmt), ref)
+            assert ref[1] is not None
+
+
+@pytest.mark.parametrize("text, message", [
+    ("P2\n3 2\n9\n1 2 3\n4 x 6\n", "pgm-2d: non-numeric pixel 'x' at offset 4"),
+    ("P2\n3 2\n9\n1 2 3\n4 10 6\n", "pgm-2d: pixel 10 at offset 4 exceeds maxval 9"),
+    ("P2\n3 2\n9\n1 2 3\n4 5 -1\n", "pgm-2d: pixel -1 at offset 5 exceeds maxval 9"),
+    ("P2\n2 2\n9\n1 2\n0 1" + "0" * 400 + "\n",
+     f"pgm-2d: pixel {10 ** 400} at offset 3 exceeds maxval 9"),
+    ("P2\n3 2\n9\n1 2 3\n4 5 0009\n", None),
+])
+def test_pgm_pixels_convert_first_then_check_the_range(text, message):
+    if message is None:
+        assert parse_field(text).values.tolist() == [1, 2, 3, 4, 5, 9]
+    else:
+        with pytest.raises(FormatError) as info:
+            parse_field(text)
+        assert str(info.value) == message

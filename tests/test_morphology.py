@@ -30,6 +30,7 @@ from dynpers import (
     watershed,
     watershed_from_markers,
 )
+from dynpers.grid import _geometry
 from fields import GRIDS_4D, tie_heavy_fields
 
 SIGNAL = ScalarField((5,), [5, 1, 4, 0, 6])
@@ -57,6 +58,13 @@ class TestFilterDynamics:
 
     def test_signal_below_threshold_unchanged(self):
         assert filter_dynamics(SIGNAL, 2).values.tolist() == [5, 1, 4, 0, 6]
+
+    def test_filtered_field_shares_the_input_geometry(self):
+        # the geometry holds no values, so segment keeps one copy, not two
+        for field in (random_field(4), random_field(5, (3, 4, 5), "full")):
+            filtered = filter_dynamics(field, 0.25)
+            assert (filtered.shape, filtered.connectivity) == (field.shape, field.connectivity)
+            assert _geometry(filtered) is _geometry(field)
 
     def test_identity_below_all_values(self):
         f = random_field(1)
