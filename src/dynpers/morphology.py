@@ -72,7 +72,11 @@ def minimal_regions(field: ScalarField) -> list:
     neighbor of the region has a strictly smaller value.  The representative
     is the region's total-order-least vertex.
     """
-    plateau, lower = _plateaus(field)
+    return _minimal_regions(field, *_plateaus(field))
+
+
+def _minimal_regions(field: ScalarField, plateau, lower) -> list:
+    """:func:`minimal_regions` from the field's :func:`_plateaus`."""
     is_rep = plateau == np.arange(field.n_vertices)
     is_rep[plateau[lower]] = False  # a plateau with a lower border is not minimal
     order = field.total_order()[0]
@@ -129,10 +133,11 @@ def iter_edges(field: ScalarField):
     return zip(heads.tolist(), tails.tolist())
 
 
-def _basin_redirects(field: ScalarField, minima, basin, markers):
+def _basin_redirects(field: ScalarField, minima, basin, markers, plateaus):
     """Per local minimum (by age), the age of the marker minimum whose label
     its descent basin takes; ``None`` when the markers need the flood (see
-    :func:`watershed_from_markers` for the condition)."""
+    :func:`watershed_from_markers` for the condition).  ``plateaus`` is the
+    field's :func:`_plateaus`, or ``None`` to search them only if needed."""
     mins = minima.tolist()
     marked = set(markers)
     if not marked <= set(mins):
@@ -140,7 +145,7 @@ def _basin_redirects(field: ScalarField, minima, basin, markers):
     redirect = np.arange(minima.size)
     unmarked = np.array([age for age, m in enumerate(mins) if m not in marked], dtype=np.intp)
     if unmarked.size:
-        plateau, lower = _plateaus(field)
+        plateau, lower = _plateaus(field) if plateaus is None else plateaus
         exits = np.bincount(plateau[lower], minlength=field.n_vertices)
         exit_vertex = np.zeros(field.n_vertices, dtype=np.intp)
         exit_vertex[plateau[lower]] = np.flatnonzero(lower)
@@ -153,7 +158,7 @@ def _basin_redirects(field: ScalarField, minima, basin, markers):
     return _jump(redirect)
 
 
-def watershed_from_markers(field: ScalarField, markers) -> WatershedLabels:
+def watershed_from_markers(field: ScalarField, markers, *, _known_plateaus=None) -> WatershedLabels:
     """Flood the field from the given marker vertices.
 
     Markers are labeled with themselves, then vertices are popped from a
@@ -179,6 +184,9 @@ def watershed_from_markers(field: ScalarField, markers) -> WatershedLabels:
     steepest-descent step, and fills it with ``e``'s label.  A marker inside
     the plateau would flood it too, in competition with ``e``; that is why
     the plateau must hold none.
+
+    ``_known_plateaus`` is private to :func:`watershed`, which has already
+    searched the field's plateaus for its markers.
     """
     markers = list(map(int, markers))
     ids = np.array(markers)  # an object array if some marker overflows int64
@@ -186,7 +194,7 @@ def watershed_from_markers(field: ScalarField, markers) -> WatershedLabels:
     if bad.size:
         field.check_vertex(markers[bad[0]])  # raises, naming the first bad marker
     minima, basin, _ = _descent_basins(field)
-    redirect = _basin_redirects(field, minima, basin, markers)
+    redirect = _basin_redirects(field, minima, basin, markers, _known_plateaus)
     if redirect is not None:
         return WatershedLabels(minima[redirect[basin]], field.shape, field.connectivity)
     order = filtration_order(field)
@@ -221,7 +229,9 @@ def watershed_from_markers(field: ScalarField, markers) -> WatershedLabels:
 
 def watershed(field: ScalarField) -> WatershedLabels:
     """One basin per minimal plateau, flooding in filtration order."""
-    return watershed_from_markers(field, minimal_regions(field))
+    plateaus = _plateaus(field)
+    markers = _minimal_regions(field, *plateaus)
+    return watershed_from_markers(field, markers, _known_plateaus=plateaus)
 
 
 def filter_dynamics(field: ScalarField, t: float) -> ScalarField:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 
 import numpy as np
 
@@ -251,19 +252,42 @@ def pair_by_persistence(field: ScalarField) -> list:
 
 
 def _lower_rows(field: ScalarField) -> tuple:
-    """``(lower, ends)``: per rank ``r``, the ranks of the neighbors that
-    precede ``r`` in the total order, as the run ``lower[ends[r - 1]:ends[r]]``
-    of one flat list (``ends[-1]`` counting as 0)."""
+    """``(lower, counts)``: per rank ``r``, ``counts[r]`` ranks of neighbors
+    that precede ``r`` in the total order, the next run of the flat list
+    ``lower``.
+
+    The runs are pruned: a lower neighbor ``u`` of ``r`` is dropped when
+    another lower neighbor ``w`` of ``r`` precedes ``u`` and is adjacent to
+    it.  Both come before ``r``, and the later of the two joined the other's
+    lake when it was flooded, so they share a lake when ``r`` is reached; the
+    least lower neighbor is always kept.  Two offsets are adjacent when their
+    difference is itself an offset of the grid, which never holds under axis
+    connectivity, so there the runs hold every lower neighbor.
+    """
     order, rank = field.total_order()
     n = field.n_vertices
-    # outside the box reads n, which precedes no rank
-    nrank = _neighbor_table(rank.reshape(field.shape), _geometry(field)[0], n)[order]
-    is_lower = nrank < np.arange(n)[:, None]
-    ends = np.cumsum(np.count_nonzero(is_lower, axis=1))
+    strides = [int(np.prod(field.shape[i + 1:])) for i in range(field.ndim)]
+    # the columns of _neighbor_table: ascending linear offset, ties kept in order
+    slices = sorted(_geometry(field)[0],
+                    key=lambda osd: sum(d * s for d, s in zip(osd[0], strides)))
+    offsets = np.array([off for off, _, _ in slices], dtype=np.intp).reshape(-1, field.ndim)
+    moves = offsets[:, offsets.any(axis=0)]
+    # balanced base 5 over the axes that move gives every vector of digits
+    # -2..2 its own code, and codes subtract as the vectors do
+    code = moves @ 5 ** np.arange(moves.shape[1])
+    adjacent = np.isin(code[:, None] - code, code)
+    # outside the box reads n, which precedes no rank; the least type that holds n
+    rank = rank.astype(np.min_scalar_type(n))
+    nrank = _neighbor_table(rank.reshape(field.shape), slices, n)[order]
+    keep = nrank < np.arange(n, dtype=rank.dtype)[:, None]
+    for j, row in enumerate(adjacent):
+        if row.any():
+            keep[:, j] &= nrank[:, j] < nrank[:, row].min(axis=1)
+    counts = keep.sum(axis=1)
     # an integer gather: a boolean mask would branch on every entry
-    lower = nrank.reshape(-1)[np.flatnonzero(is_lower)]
-    del nrank, is_lower  # the table goes before its lower entries become Python ints
-    return lower.tolist(), ends.tolist()
+    lower = nrank.reshape(-1)[np.flatnonzero(keep)]
+    del nrank, keep  # the table goes before its lower entries become Python ints
+    return lower.tolist(), counts.tolist()
 
 
 def _dynamics_columns(field: ScalarField) -> _PairColumns:
@@ -272,37 +296,42 @@ def _dynamics_columns(field: ScalarField) -> _PairColumns:
     The flood runs in rank space: lakes hold ranks, and a lake's minimum is
     its least rank.  Ranks become vertex ids only in the columns.
     """
-    lower, ends = _lower_rows(field)
+    lower, counts = _lower_rows(field)
     lake_of = [-1] * field.n_vertices
     lake_min: list = []  # lake id -> rank of its minimum
     lake_members: list = []  # lake id -> member ranks
     mins, saddles = [], []  # ranks of the finite pairs' minima and meeting vertices
 
-    start = 0
-    for r, end in enumerate(ends):
-        if start == end:
+    rows = iter(lower)
+    take = rows.__next__
+    for r, count in enumerate(counts):
+        if count == 1:
+            lid = lake_of[take()]
+        elif count:
+            row = islice(rows, count)
+            lid = lake_of[next(row)]
+            for u in row:
+                if lake_of[u] != lid:  # a second lake: gather the row's lakes
+                    ids = {lid, lake_of[u], *map(lake_of.__getitem__, row)}
+                    elder = min(ids, key=lake_min.__getitem__)
+                    keep = max(ids, key=lambda lid: len(lake_members[lid]))
+                    for lid in ids:
+                        if lid != elder:
+                            mins.append(lake_min[lid])
+                            saddles.append(r)
+                        if lid != keep:
+                            for v in lake_members[lid]:
+                                lake_of[v] = keep
+                            lake_members[keep].extend(lake_members[lid])
+                            lake_members[lid] = []
+                    lake_min[keep] = lake_min[elder]
+                    lid = keep
+                    break
+        else:
             lake_of[r] = len(lake_min)
             lake_min.append(r)
             lake_members.append([r])
             continue
-        ids = {lake_of[u] for u in lower[start:end]}
-        start = end
-        if len(ids) == 1:
-            lid = ids.pop()
-        else:
-            elder = min(ids, key=lake_min.__getitem__)
-            keep = max(ids, key=lambda lid: len(lake_members[lid]))
-            for lid in ids:
-                if lid != elder:
-                    mins.append(lake_min[lid])
-                    saddles.append(r)
-                if lid != keep:
-                    for u in lake_members[lid]:
-                        lake_of[u] = keep
-                    lake_members[keep].extend(lake_members[lid])
-                    lake_members[lid] = []
-            lake_min[keep] = lake_min[elder]
-            lid = keep
         lake_of[r] = lid
         lake_members[lid].append(r)
 
@@ -326,7 +355,12 @@ def pair_by_dynamics(field: ScalarField) -> list:
     reported with dynamics ``inf``.
 
     Lakes are explicit member lists merged smallest-into-largest; no
-    union-find forest is involved.
+    union-find forest is involved.  A vertex looks only at the lower
+    neighbors that can still be in different lakes: a lower neighbor is
+    skipped when another one before it is adjacent to it, because the later
+    of the two joined the other's lake when it was flooded.  Under axis
+    connectivity no two neighbors of a vertex are adjacent, so every lower
+    neighbor is looked at.
     """
     return _dynamics_columns(field).to_list()
 

@@ -1,4 +1,5 @@
-"""Dead-code guard over the package sources, by the standard library's ast."""
+"""Static guards over the package sources, by the standard library's ast: no dead
+code, and a flooding route that reads nothing of the other routes."""
 
 import ast
 from pathlib import Path
@@ -60,3 +61,25 @@ def test_every_private_definition_is_referenced():
             if isinstance(node, ast.ImportFrom):
                 used.update(a.name for a in node.names)
     assert sorted(f"{m}:{name}" for m, name in private if name not in used) == []
+
+
+FLOOD = ("_lower_rows", "_dynamics_columns")
+# grid's spanning-forest helpers, the merge tree, and the caches of the basins and the oracle
+OTHER_ROUTES = {
+    "_least_key", "_descent", "_descent_basins", "_cut_edges", "_boruvka", "_replay", "_kruskal",
+    "_jump", "build_merge_tree", "_persistence_columns", "_basin_cache", "_oracle_cache", "pathdyn",
+}
+
+
+def test_the_flood_reads_nothing_of_the_other_routes():
+    # the flooding route is the independent check of the merge tree and the oracle
+    pathdyn = parse(SRC / "pathdyn.py")
+    defined = {node.name for node in pathdyn.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    defined |= {t.id for node in pathdyn.body if isinstance(node, ast.Assign)
+                for t in node.targets if isinstance(t, ast.Name)}
+    funcs = {node.name: node for node in parse(SRC / "pairing.py").body
+             if isinstance(node, ast.FunctionDef) and node.name in FLOOD}
+    assert sorted(funcs) == sorted(FLOOD)
+    for name, node in funcs.items():
+        assert sorted(loaded_names(node) & (OTHER_ROUTES | defined)) == [], name

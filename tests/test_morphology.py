@@ -653,15 +653,61 @@ class TestHarnessContract:
         calls = []
         original = morphology.watershed_from_markers
 
-        def counted(field, markers):
+        def counted(field, markers, **kwargs):  # bench/spans.py forwards keywords too
             calls.append(field)
-            return original(field, markers)
+            return original(field, markers, **kwargs)
 
         monkeypatch.setattr(morphology, "watershed_from_markers", counted)
         f = random_field(3)
         saliency(f)
         assert calls == [f]
 
+
+class TestWatershedSearchesPlateausOnce:
+    T = 0.1234567
+
+    def filtered(self):
+        for seed in range(6):
+            f = filter_dynamics(random_field(seed, (20, 21)), self.T)
+            assert len(local_minima(f)) > len(minimal_regions(f))  # unmarked minima
+            yield f
+
+    def test_one_search_per_call(self, monkeypatch):
+        calls = []
+        original = morphology._plateaus
+
+        def counted(field):
+            calls.append(field)
+            return original(field)
+
+        monkeypatch.setattr(morphology, "_plateaus", counted)
+        for f in self.filtered():
+            calls.clear()
+            labels = watershed(f)
+            assert calls == [f]
+            calls.clear()
+            assert labels.labels == watershed_from_markers(f, minimal_regions(f)).labels
+            assert calls == [f, f]  # the public pair searches twice
+
+    def test_segment_bytes_unchanged(self, capsys, monkeypatch):
+        import io
+        import sys
+
+        from dynpers import cli
+
+        def segment_bytes():
+            monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+            assert cli.main(["segment", "--t", repr(self.T)]) == 0
+            return capsys.readouterr().out.encode()
+
+        for seed in range(3):
+            f = random_field(seed, (20, 21))
+            text = "FIELD 2 20 21\n" + "".join(f"{v!r}\n" for v in f.values.tolist())
+            got = segment_bytes()
+            with monkeypatch.context() as m:  # the two-search composition
+                m.setattr(morphology, "watershed",
+                          lambda g: watershed_from_markers(g, minimal_regions(g)))
+                assert segment_bytes() == got
 
 def reference_filter(field, t):
     """Per-pair breadth-first filter: pairs in ascending order, each raising the

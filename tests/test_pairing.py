@@ -29,7 +29,7 @@ from dynpers import (
 )
 from dynpers import cli, grid, morphology, pairing
 from dynpers.equivalence import GeneratorSpec, generate
-from dynpers.pairing import _dynamics_columns, _persistence_columns, _sorted_pairs
+from dynpers.pairing import _dynamics_columns, _lower_rows, _persistence_columns, _sorted_pairs
 from fields import GRIDS_4D, tie_heavy_fields
 
 SIGNAL = ScalarField((5,), [5, 1, 4, 0, 6])
@@ -571,6 +571,56 @@ class TestFloodAgainstReference:
         shapes += [((s,) * 3, "full") for s in (12, 14, 16)]
         for seed, (shape, conn) in enumerate(shapes):
             self.check(generate(GeneratorSpec("uniform_random", shape, seed, connectivity=conn)))
+
+    def test_extent_one_axes_and_one_vertex(self):
+        for f in extent_one_fields(41):
+            self.check(f)
+
+    def test_uniform_full_fields(self):
+        for seed, shape in enumerate(((64, 64), (5, 5, 5, 5))):
+            self.check(generate(GeneratorSpec("uniform_random", shape, seed, connectivity="full")))
+
+
+def extent_one_fields(seed):
+    """Fields on grids with axes of extent 1, under both connectivities, and
+    one-vertex fields."""
+    rng = np.random.default_rng(seed)
+    for shape in ((1, 5, 6), (3, 1, 4, 2), (5, 1), (1, 1, 7)):
+        n = int(np.prod(shape))
+        for conn in ("full", "axis"):
+            yield ScalarField(shape, rng.uniform(-1.0, 1.0, n), conn)
+            yield ScalarField(shape, rng.integers(0, 3, n).astype(float), conn)
+    yield ScalarField((1,), [2.0])
+    yield ScalarField((1, 1), [-0.0], "full")
+
+
+class TestLowerRows:
+    """The flood's rows against the neighbor lists: pruned exactly by the
+    rule of ``_lower_rows``, and complete under axis connectivity."""
+
+    def fields(self):
+        yield from tie_heavy_fields(3301, 240, GRIDS_4D)
+        yield from extent_one_fields(43)
+
+    def test_rows_are_the_pruned_lower_neighbors(self):
+        for f in self.fields():
+            order, rank = (a.tolist() for a in f.total_order())
+            nbrs = f.neighbor_lists()
+            lower, counts = _lower_rows(f)
+            assert len(counts) == f.n_vertices and sum(counts) == len(lower)
+            rows = iter(lower)
+            for r, count in enumerate(counts):
+                row = [next(rows) for _ in range(count)]
+                full = [rank[u] for u in nbrs[order[r]] if rank[u] < r]
+                assert set(row) <= set(full) and len(set(row)) == len(row)
+                if full:
+                    assert min(full) in row
+                for d in full:
+                    # d is dropped exactly when a lower neighbor before it is adjacent to it
+                    nearer = [w for w in full if w < d and order[w] in nbrs[order[d]]]
+                    assert (d not in row) == bool(nearer), (f, r, d)
+                if f.connectivity.value == "axis":
+                    assert row == full
 
 
 class TestPairColumns:
