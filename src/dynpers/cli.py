@@ -132,12 +132,14 @@ def _json_parts(obj) -> list:
     columns where the commands' output has them.
 
     ``json.dumps`` with an indent runs the pure-Python encoder, one generator
-    step per value.  Here the forms the commands emit are formatted a column
-    at a time: a str-keyed dict member by member, a 1D or 2D numpy array of
-    floats or ints, and :class:`_Records` and :class:`_EdgeMap` by one ``%``
-    over a row or member template repeated once per row.  Each float column
-    goes through ``repr`` once per distinct bit pattern of a slice (so
-    ``-0.0`` stays itself).  Everything else goes to ``json``.
+    step per value.  Here a str-keyed dict goes member by member, and every
+    column form the commands emit goes through one row formatter,
+    :func:`_row_slices`, with its own row template: a 1D numpy array of
+    floats or ints (a bare entry), a 2D one (a bracketed row over its
+    columns), :class:`_Records` (a ``{...}`` row) and :class:`_EdgeMap` (a
+    ``"u,v": value`` member).  Each float column goes through ``repr`` once
+    per distinct bit pattern of a slice (so ``-0.0`` stays itself).
+    Everything else goes to ``json``.
 
     The columns' text is formatted only as the parts are written,
     ``formats._ROWS`` rows per slice, so the whole text never exists at
@@ -156,10 +158,7 @@ class _NonFinite(Exception):
     """A NaN or infinity somewhere in a column."""
 
 
-def _finite(column):
-    if not np.isfinite(column).all():
-        raise _NonFinite
-    return column
+_FIELDS = {"f": "%s", "i": "%d", "u": "%d"}  # a column's field in a row template
 
 
 def _bracketed(brackets: str, members, pad: str) -> list:
@@ -182,20 +181,21 @@ def _parts(obj, pad: str) -> list:
         members = [[encode_basestring_ascii(k) + ": ", *_parts(x, inner)] for k, x in obj.items()]
         return _bracketed("{}", members, pad)
     if kind is np.ndarray and obj.size and obj.ndim <= 2 and obj.dtype.kind in "fiu":
-        if obj.dtype.kind == "f":
-            _finite(obj)
-        return _bracketed("[]", [[_array_slices(obj, inner)]], pad)
+        template, columns = _FIELDS[obj.dtype.kind], [obj]
+        if obj.ndim == 2:  # a bracketed row per row, over the array's columns
+            template, columns = "".join(_bracketed("[]", [[template]] * obj.shape[1], inner)), obj.T
+        return _bracketed("[]", [[_row_slices(template, columns, inner)]], pad)
     if kind is _Records and (obj.columns[0].size or obj.rest):
-        rows = [[_record_slices(obj, inner)]] if obj.columns[0].size else []
+        rows = []
+        if obj.columns[0].size:
+            fields = [[encode_basestring_ascii(k).replace("%", "%%") + ": " + _FIELDS[c.dtype.kind]]
+                      for k, c in zip(obj.keys, obj.columns)]
+            template = "".join(_bracketed("{}", fields, inner))
+            rows = [[_row_slices(template, obj.columns, inner)]]
         return _bracketed("[]", rows + [_parts(x, inner) for x in obj.rest], pad)
     if kind is _EdgeMap and obj.heads.size:
-        heads, tails, values = obj.heads, obj.tails, _finite(obj.values)
-
-        def text(lo, hi):
-            columns = (heads[lo:hi].tolist(), tails[lo:hi].tolist(), _float_texts(values[lo:hi]))
-            return _joined_rows('"%d,%d": %s', columns, inner)
-
-        return _bracketed("{}", [[_sliced(heads.size, text, ",\n" + inner)]], pad)
+        rows = _row_slices('"%d,%d": %s', (obj.heads, obj.tails, obj.values), inner)
+        return _bracketed("{}", [[rows]], pad)
     text = json.dumps(obj, indent=2, allow_nan=False, default=_plain)
     return [text.replace("\n", "\n" + pad)]
 
@@ -210,62 +210,34 @@ def _float_texts(values) -> list:
     return texts[which].tolist()
 
 
-def _array_slices(array, pad: str):
-    """The slices of a 1D float or int array's entries, or of a 2D one's
-    rows, each row through one template, joined at ``pad``."""
+def _row_slices(template: str, columns, pad: str):
+    """The slices of the rows of the equal-length int or float ``columns``
+    (numpy arrays), each row through ``template`` (one ``%d`` per int and
+    one ``%s`` per float column), the rows joined as :func:`_bracketed`
+    joins at ``pad``.  Every float column is checked finite before any text
+    exists.
+
+    A slice's rows go through one ``%`` over the template repeated once per
+    row; bare entries (template ``%d`` or ``%s``) are joined instead, which
+    is faster than a ``%`` per entry.
+    """
+    for column in columns:
+        if column.dtype.kind == "f" and not np.isfinite(column).all():
+            raise _NonFinite
     sep = ",\n" + pad
-    if array.ndim == 1:
-        def text(lo, hi):
-            return sep.join(_entry_texts(array[lo:hi]))
-    else:
-        width = array.shape[1]
-        inner = pad + "  "
-        template = "[\n" + inner + (",\n" + inner).join(["%s"] * width) + "\n" + pad + "]"
-
-        def text(lo, hi):
-            texts = _entry_texts(array[lo:hi].reshape(-1))
-            return sep.join(map(template.__mod__, zip(*[iter(texts)] * width)))
-
-    return _sliced(len(array), text, sep)
-
-
-def _entry_texts(flat) -> list:
-    return _float_texts(flat) if flat.dtype.kind == "f" else [*map(repr, flat.tolist())]
-
-
-def _record_slices(records: _Records, pad: str):
-    """The slices of the rows of ``records`` (:func:`_joined_rows`), int
-    columns formatted with ``%d``."""
-    inner = pad + "  "
-    ints = [c.dtype.kind in "iu" for c in records.columns]
-    for column, is_int in zip(records.columns, ints):
-        if not is_int:
-            _finite(column)
-    fields = [
-        encode_basestring_ascii(k).replace("%", "%%") + (": %d" if is_int else ": %s")
-        for k, is_int in zip(records.keys, ints)
-    ]
-    template = "{\n" + inner + (",\n" + inner).join(fields) + "\n" + pad + "}"
+    width = len(columns)
 
     def text(lo, hi):
-        columns = [
-            c[lo:hi].tolist() if is_int else _float_texts(c[lo:hi])
-            for c, is_int in zip(records.columns, ints)
-        ]
-        return _joined_rows(template, columns, pad)
+        texts = [_float_texts(c[lo:hi]) if c.dtype.kind == "f" else c[lo:hi].tolist()
+                 for c in columns]
+        if template in ("%d", "%s"):
+            return sep.join(map(repr, texts[0]) if template == "%d" else texts[0])
+        flat = [None] * (width * (hi - lo))
+        for j, column in enumerate(texts):
+            flat[j::width] = column
+        return sep.join([template] * (hi - lo)) % tuple(flat)
 
-    return _sliced(records.columns[0].size, text, ",\n" + pad)
-
-
-def _joined_rows(template: str, columns, pad: str) -> str:
-    """Each row of the equal-length ``columns`` through ``template``, the
-    texts joined as :func:`_bracketed` joins at ``pad``, by one ``%`` over
-    the template repeated once per row."""
-    width, rows = len(columns), len(columns[0])
-    flat = [None] * (width * rows)
-    for j, column in enumerate(columns):
-        flat[j::width] = column
-    return (",\n" + pad).join([template] * rows) % tuple(flat)
+    return _sliced(len(columns[0]), text, sep)
 
 
 def _field_output_format(args, input_fmt: str, field: ScalarField) -> str:

@@ -163,13 +163,17 @@ def _offsets(shape, connectivity: Connectivity):
 
 
 def offset_slices(shape, connectivity) -> list:
-    """``(offset, src, dst)`` per neighbor offset of the grid.
+    """``(offset, src, dst)`` per neighbor offset of the grid, in ascending
+    linear offset; offsets that share one (on an axis of extent 2, ``(0, 1)``
+    and ``(1, -1)`` both read 1) keep their product order.
 
     For an array ``a`` of the field's shape, ``a[dst]`` holds, position by
     position, the neighbor at ``offset`` of each vertex in ``a[src]``.
     """
+    strides = [math.prod(shape[i + 1:]) for i in range(len(shape))]
     out = []
-    for off in _offsets(shape, connectivity):
+    for off in sorted(_offsets(shape, connectivity),
+                      key=lambda off: sum(d * s for d, s in zip(off, strides))):
         src = tuple(slice(max(0, -d), e - max(0, d)) for d, e in zip(off, shape))
         dst = tuple(slice(max(0, d), e - max(0, -d)) for d, e in zip(off, shape))
         out.append((off, src, dst))
@@ -190,13 +194,10 @@ def _neighbor_table(grid, slices, fill) -> np.ndarray:
     """``(n, k)`` array: per vertex, the entries of ``grid`` (an array of the
     grid's shape) at its neighbors, ``fill`` outside the box.
 
-    One column per offset of the grid's :func:`offset_slices` ``slices``,
-    the columns in ascending linear offset.
+    One column per offset of the grid's :func:`offset_slices` ``slices``, in
+    their order.
     """
-    shape = grid.shape
-    strides = [int(np.prod(shape[i + 1:])) for i in range(len(shape))]
-    slices = sorted(slices, key=lambda osd: sum(d * s for d, s in zip(osd[0], strides)))
-    table = np.full(shape + (len(slices),), fill, dtype=grid.dtype)
+    table = np.full(grid.shape + (len(slices),), fill, dtype=grid.dtype)
     for j, (_, src, dst) in enumerate(slices):
         table[src + (j,)] = grid[dst]
     return table.reshape(grid.size, len(slices))

@@ -40,29 +40,26 @@ def _plateaus(field: ScalarField) -> tuple:
     """``(plateau, lower)``: per vertex, the least vertex of its plateau (its
     connected set of equal values), and whether it has a strictly lower neighbor.
 
-    Hook and jump over the equal-valued edges: each round links every
-    plateau root to the least root across its edges, then pointer-jumps;
-    edges inside one plateau are dropped.
+    ``lower`` reads the cached steepest step (:func:`grid._descent_basins`):
+    the least-rank vertex of a neighborhood is strictly lower than the vertex
+    exactly when some neighbor is.  The plateaus hook and jump over the
+    field's equal-valued edges: each round links every plateau root to the
+    least root across its edges, then pointer-jumps; edges inside one
+    plateau are dropped.
     """
-    vals = field.values.reshape(field.shape)
-    lin = np.arange(field.n_vertices).reshape(field.shape)
-    lower = np.zeros(field.shape, dtype=bool)
-    flat_a, flat_b = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]  # each edge once
-    for off, src, dst in _geometry(field)[0]:
-        lower[src] |= vals[dst] < vals[src]
-        if off > (0,) * field.ndim:
-            eq = vals[src] == vals[dst]
-            flat_a.append(lin[src][eq])
-            flat_b.append(lin[dst][eq])
-    plateau = lin.reshape(-1).copy()
-    a, b = np.concatenate(flat_a), np.concatenate(flat_b)
+    values = field.values
+    lower = values[field.total_order()[0][_descent_basins(field)[2]]] < values
+    heads, tails = _geometry(field)[1]
+    equal = np.flatnonzero(values[heads] == values[tails])
+    a, b = heads[equal], tails[equal]
+    plateau = np.arange(field.n_vertices)
     while a.size:
         np.minimum.at(plateau, np.maximum(a, b), np.minimum(a, b))
         plateau = _jump(plateau)
         a, b = plateau[a], plateau[b]
         keep = a != b
         a, b = a[keep], b[keep]
-    return plateau, lower.reshape(-1)
+    return plateau, lower
 
 
 def minimal_regions(field: ScalarField) -> list:

@@ -266,10 +266,7 @@ def _lower_rows(field: ScalarField) -> tuple:
     """
     order, rank = field.total_order()
     n = field.n_vertices
-    strides = [int(np.prod(field.shape[i + 1:])) for i in range(field.ndim)]
-    # the columns of _neighbor_table: ascending linear offset, ties kept in order
-    slices = sorted(_geometry(field)[0],
-                    key=lambda osd: sum(d * s for d, s in zip(osd[0], strides)))
+    slices = _geometry(field)[0]
     offsets = np.array([off for off, _, _ in slices], dtype=np.intp).reshape(-1, field.ndim)
     moves = offsets[:, offsets.any(axis=0)]
     # balanced base 5 over the axes that move gives every vector of digits

@@ -637,9 +637,10 @@ def _int_array(size):
 
 @st.composite
 def _float_rows(draw):
-    """A ``(rows, width)`` float array, either extent possibly 0."""
+    """A ``(rows, width)`` float or int64 array, either extent possibly 0."""
     rows, width = draw(st.integers(0, 5)), draw(st.integers(0, 3))
-    return draw(_float_array(rows * width)).reshape(rows, width)
+    size = rows * width
+    return draw(st.one_of(_float_array(size), _int_array(size))).reshape(rows, width)
 
 
 @st.composite
@@ -973,8 +974,13 @@ def _writer_forms(size):
     return {
         "floats": floats,
         "ints": ints,
+        "uint64-above-2**63": rng.integers(2**63, 2**64, size, dtype=np.uint64),
         "diagram": np.stack((floats, floats + 1.0), axis=1),
+        "1-wide": floats[:, None],
+        "3-wide": np.stack((floats, -floats, floats / 3), axis=1),
+        "2d-int64": np.stack((ints, -ints), axis=1),
         "records": records,
+        "records-one-key": cli._Records(("min_index",), (ints,), []),
         "records-rest": cli._Records(keys, (ints, floats, floats),
                                      [{"min_index": 0, "birth": 0.5, "value": "inf"}]),
         "edge-map": cli._EdgeMap(ends, ends + 1, floats),
