@@ -57,7 +57,7 @@ class ScalarField:
     _order_cache: tuple = _dc_field(default=None, repr=False, compare=False)
     _oracle_cache: tuple = _dc_field(default=None, repr=False, compare=False)
     _basin_cache: tuple = _dc_field(default=None, repr=False, compare=False)
-    _geometry_cache: tuple = _dc_field(default=None, repr=False, compare=False)
+    _geometry_cache: list = _dc_field(default=None, repr=False, compare=False)
 
     def __init__(self, shape, values, connectivity=Connectivity.AXIS):
         shape = tuple(int(e) for e in shape)
@@ -241,23 +241,79 @@ def _least_key(key, slices) -> np.ndarray:
     """Per vertex, the least key among the vertex and its neighbors, flat.
 
     ``key`` is an integer array of the grid's shape and ``slices`` its
-    :func:`offset_slices`.
+    :func:`offset_slices`.  On a box grid (:func:`_is_box`) the closed
+    neighborhood is the box of the all-zero offset (:func:`_box_minima`).
     """
+    if _is_box(key.shape, slices):
+        zero = (0,) * key.ndim
+        _, low, inner = _box_minima(key, [zero])
+        return low[zero][inner].astype(key.dtype).reshape(-1)
     low = key.copy()
     for _, src, dst in slices:
         np.minimum(low[src], key[dst], out=low[src])
     return low.reshape(-1)
 
 
+def _is_box(shape, slices) -> bool:
+    """Whether the grid's neighborhood, its :func:`offset_slices` ``slices``,
+    is the full box over two or more axes: more offsets than the two per
+    axis of extent above 1 that axis connectivity has.  Only such grids have
+    triangles, three pairwise adjacent vertices."""
+    return len(slices) > 2 * sum(e > 1 for e in shape)
+
+
+def _box_minima(key, offsets) -> tuple:
+    """``(keys, low, inner)``: the keys and, per offset ``t`` of ``offsets``,
+    the least key of every box ``cube(v) & cube(v + t)``, where ``cube(v)``
+    is the vertex ``v`` with its full neighborhood.  Two vertices adjacent
+    under full connectivity have as common neighbors exactly the other
+    vertices of their box.
+
+    ``key`` is an integer array of the grid's shape with entries below its
+    size ``n``.  ``keys`` and ``low[t]`` are arrays of that shape padded
+    with one layer of ``n`` on every axis of extent above 1, in the least
+    unsigned type that holds ``n``, and ``inner`` the slices that select the
+    grid in them.  A box reads ``n`` outside the grid, and ``low[t]`` holds
+    it at every padded position.  On a flat padded array, an offset moves a
+    position by the offset's dot product with the padded strides, and a
+    vertex never leaves the padded array by one offset.
+
+    The box is separable.  Per axis it spans the vertex's coordinate and the
+    next one (``t = 1``), the previous one (``t = -1``) or both (``t = 0``),
+    each a flat shift of the padded array by that axis' stride, and offsets
+    that begin alike share the minima over their first axes.
+    """
+    n = key.size
+    inner = tuple(slice(int(e > 1), int(e > 1) + e) for e in key.shape)
+    keys = np.full([e + 2 * (e > 1) for e in key.shape], n, dtype=np.min_scalar_type(n))
+    keys[inner] = key
+    strides = [s // keys.itemsize for s in keys.strides]
+    memo = {(): keys.reshape(-1)}  # per offset prefix, the minima over its axes
+    for t in offsets:
+        for axis, d in enumerate(t):
+            prefix = tuple(t[:axis + 1])
+            if prefix in memo:
+                continue
+            low = before = memo[prefix[:-1]]
+            if key.shape[axis] > 1:
+                s = strides[axis]
+                low = before.copy()
+                if d <= 0:
+                    np.minimum(low[s:], before[:-s], out=low[s:])
+                if d >= 0:
+                    np.minimum(low[:-s], before[s:], out=low[:-s])
+            memo[prefix] = low
+    return keys, {t: memo[tuple(t)].reshape(keys.shape) for t in offsets}, inner
+
+
 def local_minima(field: ScalarField) -> list:
     """Vertices all of whose neighbors come later in the total order.
 
-    Returned sorted by the total order.  On a field with all-distinct values
-    this is exactly the set of strict value minima.
+    Returned sorted by the total order: the minima of the field's cached
+    steepest descent (:func:`_descent_basins`).  On a field with
+    all-distinct values this is exactly the set of strict value minima.
     """
-    order, rank = field.total_order()
-    low = _least_key(rank.reshape(field.shape), _geometry(field)[0])
-    return order[(low == rank)[order]].tolist()
+    return _descent_basins(field)[0].tolist()
 
 
 def _jump(parent: np.ndarray) -> np.ndarray:
@@ -323,11 +379,12 @@ def _descent(key, slices) -> tuple:
 
 
 def _cut_edges(key, label, edges) -> tuple:
-    """``(a, b, weight)``: every grid edge whose ends carry different labels,
-    as the two labels and ``max(key) * n + min(key)``, a weight unique per
-    edge.  ``key`` is a permutation of ``0 .. n - 1`` and ``label`` one
-    integer per vertex, both flat, and ``edges`` the grid's ``(heads,
-    tails)`` (:func:`_geometry`).
+    """``(a, b, weight)``: every edge of ``edges`` whose ends carry different
+    labels, as the two labels and ``max(key) * n + min(key)``, a weight
+    unique per edge.  ``key`` is a permutation of ``0 .. n - 1`` and
+    ``label`` one integer per vertex, both flat, and ``edges`` grid edges
+    as ``(heads, tails)``: all of them (:func:`_geometry`) or the
+    :func:`_candidate_edges`.
 
     Every step is a gather by integer index; selecting by a boolean mask
     would branch on each edge, and the cut edges come in no pattern.
@@ -370,25 +427,78 @@ def _kruskal(key, order, label, edges, k: int) -> tuple:
 
     ``key`` is a permutation of ``0 .. n - 1`` and ``order`` its inverse,
     ``label`` a tree id below ``k`` per vertex, all flat, and ``edges`` the
-    grid's (:func:`_geometry`).  ``hi`` and ``lo`` are the greater and the
-    lesser key of each forest edge (:func:`_cut_edges`' weight, decoded), and
-    ``ra`` and ``rb`` the roots that the :func:`_replay` of
-    ``label[order[hi]]`` against ``label[order[lo]]`` joins.
+    grid's :func:`_candidate_edges` under ``key`` (or every edge,
+    :func:`_geometry`, which gives the same forest).  ``hi`` and ``lo`` are
+    the greater and the lesser key of each forest edge (:func:`_cut_edges`'
+    weight, decoded), and ``ra`` and ``rb`` the roots that the
+    :func:`_replay` of ``label[order[hi]]`` against ``label[order[lo]]``
+    joins.
     """
     a, b, weight = _cut_edges(key, label, edges)
     hi, lo = np.divmod(weight[_boruvka(a, b, weight, k)], key.size)
     return (hi, lo) + _replay(label[order[hi]], label[order[lo]], k)
 
 
-def _geometry(field: ScalarField) -> tuple:
-    """``(slices, edges)`` of the field's grid, cached per field: its
-    :func:`offset_slices` as a tuple, and ``edges``, every grid edge once as
-    two read-only int arrays ``(heads, tails)`` with ``heads < tails``, one
-    block per offset greater than zero (each offset's ``±`` pair gives one
-    direction of the same edges).
+def _candidate_edges(field: ScalarField, key) -> tuple:
+    """``(heads, tails)``, ``heads < tails``: the grid edges that can lie in
+    the minimum spanning forest under the weights ``max(key) * n +
+    min(key)``, ``key`` a flat permutation of ``0 .. n - 1``.
+
+    On a box grid (:func:`_is_box`) an edge whose box (:func:`_box_minima`)
+    holds a key below both of its ends closes a triangle with that vertex,
+    and it is the triangle's heaviest edge, so by the cycle property no
+    minimum spanning forest holds it; only the edges whose lesser key is
+    their box's least are kept, per offset greater than zero.  Other grids
+    have no triangles and keep every edge (:func:`_geometry`).
     """
+    slices = _offset_slices(field)
+    shape = field.shape
+    if not _is_box(shape, slices):
+        return _geometry(field)[1]
+    zero = (0,) * field.ndim
+    offsets = [off for off, _, _ in slices if off > zero]
+    keys, low, inner = _box_minima(key.reshape(shape), offsets)
+    flat, n = keys.reshape(-1), key.size
+    steps = [s // keys.itemsize for s in keys.strides]
+    strides = [math.prod(shape[i + 1:]) for i in range(field.ndim)]
+    heads, tails = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]  # maybe no edge
+    for off in offsets:
+        t = sum(d * s for d, s in zip(off, steps))  # positive, as the offset is
+        a, b = flat[:-t], flat[t:]
+        keep = np.zeros(keys.shape, dtype=bool)
+        kept = keep.reshape(-1)[:-t]  # by the lesser position of each pair
+        np.equal(np.minimum(a, b), low[off].reshape(-1)[:-t], out=kept)
+        kept &= np.maximum(a, b) < n  # both ends in the grid
+        head = np.flatnonzero(keep[inner])
+        heads.append(head)
+        tails.append(head + sum(d * s for d, s in zip(off, strides)))
+    return np.concatenate(heads), np.concatenate(tails)
+
+
+def _offset_slices(field: ScalarField) -> tuple:
+    """The field's :func:`offset_slices` as a tuple, cached per field in the
+    first slot of its :func:`_geometry`; the edge list is not built."""
     if field._geometry_cache is None:
         slices = tuple(offset_slices(field.shape, field.connectivity))
+        object.__setattr__(field, "_geometry_cache", [slices, None])
+    return field._geometry_cache[0]
+
+
+def _geometry(field: ScalarField) -> list:
+    """``[slices, edges]``: the field's grid geometry, cached per field and
+    shared by the fields of :func:`_with_values`.  ``slices`` are its
+    :func:`offset_slices` as a tuple (:func:`_offset_slices`), and
+    ``edges`` every grid edge once as two read-only int arrays ``(heads,
+    tails)`` with ``heads < tails``, one block per offset greater than zero
+    (each offset's ``±`` pair gives one direction of the same edges).
+
+    The edge list is built on the first call, for the callers that need
+    every edge; the descent, the box-grid forests (:func:`_candidate_edges`)
+    and the flood read the slices alone and leave its slot ``None``.
+    """
+    slices = _offset_slices(field)
+    geometry = field._geometry_cache
+    if geometry[1] is None:
         lin = np.arange(field.n_vertices).reshape(field.shape)
         zero = (0,) * field.ndim
         heads, tails = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]  # maybe no edge
@@ -399,15 +509,16 @@ def _geometry(field: ScalarField) -> tuple:
         edges = (np.concatenate(heads), np.concatenate(tails))
         for column in edges:
             column.flags.writeable = False
-        object.__setattr__(field, "_geometry_cache", (slices, edges))
-    return field._geometry_cache
+        geometry[1] = edges
+    return geometry
 
 
 def _with_values(field: ScalarField, values) -> ScalarField:
     """A field of ``values`` on the grid of ``field``, sharing its cached
     :func:`_geometry`, which depends on the shape and connectivity alone."""
     out = ScalarField(field.shape, values, field.connectivity)
-    object.__setattr__(out, "_geometry_cache", _geometry(field))
+    _offset_slices(field)  # the slot that both fields share, edges built or not
+    object.__setattr__(out, "_geometry_cache", field._geometry_cache)
     return out
 
 
@@ -419,7 +530,7 @@ def _descent_basins(field: ScalarField) -> tuple:
     """
     if field._basin_cache is None:
         order, rank = field.total_order()
-        step, is_min, basin = _descent(rank.reshape(field.shape), _geometry(field)[0])
+        step, is_min, basin = _descent(rank.reshape(field.shape), _offset_slices(field))
         cache = (order[is_min], basin, step)
         for column in cache:
             column.flags.writeable = False

@@ -19,7 +19,16 @@ from itertools import islice
 import numpy as np
 
 from .errors import UsageError
-from .grid import ScalarField, _descent_basins, _geometry, _kruskal, _neighbor_table
+from .grid import (
+    ScalarField,
+    _box_minima,
+    _candidate_edges,
+    _descent_basins,
+    _is_box,
+    _kruskal,
+    _neighbor_table,
+    _offset_slices,
+)
 
 INF = math.inf
 
@@ -109,6 +118,10 @@ def build_merge_tree(field: ScalarField) -> MergeTree:
     and :func:`grid._kruskal` replays its k - 1 edges in weight order over
     compact basin ids (the minima's ages), giving per edge the roots of the
     two components it joins, a root always being its component's eldest.
+    Under full connectivity the forest is sought among the candidate edges
+    alone (:func:`grid._candidate_edges`): an edge whose box holds a rank
+    below both of its ends is the heaviest edge of a triangle, and by the
+    cycle property the forest never holds it.
 
     The forest edges at ``w`` form a star from the component of ``w``'s own
     basin, which holds ``w``'s steepest step (its least lower neighbor), to
@@ -123,7 +136,7 @@ def build_merge_tree(field: ScalarField) -> MergeTree:
     minima, basin, step = _descent_basins(field)
     k, n = minima.size, field.n_vertices
     # per forest edge: the ranks of its ends, and the roots on the saddle's side and on the other
-    saddle, low, upper, lower = _kruskal(rank, order, basin, _geometry(field)[1], k)
+    saddle, low, upper, lower = _kruskal(rank, order, basin, _candidate_edges(field, rank), k)
 
     heads = np.flatnonzero(np.diff(saddle, prepend=-1))  # each saddle's first forest edge
     # One row per component that a saddle joins: the saddle's rank, the
@@ -260,26 +273,40 @@ def _lower_rows(field: ScalarField) -> tuple:
     another lower neighbor ``w`` of ``r`` precedes ``u`` and is adjacent to
     it.  Both come before ``r``, and the later of the two joined the other's
     lake when it was flooded, so they share a lake when ``r`` is reached; the
-    least lower neighbor is always kept.  Two offsets are adjacent when their
-    difference is itself an offset of the grid, which never holds under axis
-    connectivity, so there the runs hold every lower neighbor.
+    least lower neighbor is always kept.  Only a box grid (full
+    connectivity over two or more axes, :func:`grid._is_box`) has such
+    ``w``: the neighbors that ``r`` and ``u`` share are the other vertices
+    of their box, so ``u`` is kept exactly when it is its box's least rank
+    (:func:`grid._box_minima`).  There the runs come from the kept edges of
+    each offset greater than zero, grouped by their greater rank; on other
+    grids they hold every lower neighbor, in ascending linear offset.
     """
     order, rank = field.total_order()
     n = field.n_vertices
-    slices = _geometry(field)[0]
-    offsets = np.array([off for off, _, _ in slices], dtype=np.intp).reshape(-1, field.ndim)
-    moves = offsets[:, offsets.any(axis=0)]
-    # balanced base 5 over the axes that move gives every vector of digits
-    # -2..2 its own code, and codes subtract as the vectors do
-    code = moves @ 5 ** np.arange(moves.shape[1])
-    adjacent = np.isin(code[:, None] - code, code)
+    shape = field.shape
+    slices = _offset_slices(field)
+    if _is_box(shape, slices):
+        zero = (0,) * field.ndim
+        offsets = [off for off, _, _ in slices if off > zero]
+        ranks, low, _ = _box_minima(rank.reshape(shape), offsets)
+        flat = ranks.reshape(-1)
+        steps = [s // ranks.itemsize for s in ranks.strides]
+        his, los = [], []
+        for off in offsets:
+            t = sum(d * s for d, s in zip(off, steps))  # positive, as the offset is
+            a, b = flat[:-t], flat[t:]
+            lesser, greater = np.minimum(a, b), np.maximum(a, b)
+            kept = lesser == low[off].reshape(-1)[:-t]
+            kept &= greater < n  # both ends in the grid
+            kept = np.flatnonzero(kept)
+            his.append(greater[kept])
+            los.append(lesser[kept])
+        hi, lo = np.concatenate(his), np.concatenate(los)
+        return lo[np.argsort(hi, kind="stable")].tolist(), np.bincount(hi, minlength=n).tolist()
     # outside the box reads n, which precedes no rank; the least type that holds n
     rank = rank.astype(np.min_scalar_type(n))
-    nrank = _neighbor_table(rank.reshape(field.shape), slices, n)[order]
+    nrank = _neighbor_table(rank.reshape(shape), slices, n)[order]
     keep = nrank < np.arange(n, dtype=rank.dtype)[:, None]
-    for j, row in enumerate(adjacent):
-        if row.any():
-            keep[:, j] &= nrank[:, j] < nrank[:, row].min(axis=1)
     counts = keep.sum(axis=1)
     # an integer gather: a boolean mask would branch on every entry
     lower = nrank.reshape(-1)[np.flatnonzero(keep)]
@@ -309,7 +336,20 @@ def _dynamics_columns(field: ScalarField) -> _PairColumns:
             lid = lake_of[next(row)]
             for u in row:
                 if lake_of[u] != lid:  # a second lake: gather the row's lakes
-                    ids = {lid, lake_of[u], *map(lake_of.__getitem__, row)}
+                    other = lake_of[u]
+                    ids = {lid, other, *map(lake_of.__getitem__, row)}
+                    if len(ids) == 2:  # the younger lake dies; the smaller one is relabelled
+                        first, second = lake_min[lid], lake_min[other]
+                        mins.append(first if first > second else second)
+                        saddles.append(r)
+                        if len(lake_members[lid]) < len(lake_members[other]):
+                            lid, other = other, lid
+                        for v in lake_members[other]:
+                            lake_of[v] = lid
+                        lake_members[lid].extend(lake_members[other])
+                        lake_members[other] = []
+                        lake_min[lid] = first if first < second else second
+                        break
                     elder = min(ids, key=lake_min.__getitem__)
                     keep = max(ids, key=lambda lid: len(lake_members[lid]))
                     for lid in ids:
@@ -355,9 +395,13 @@ def pair_by_dynamics(field: ScalarField) -> list:
     union-find forest is involved.  A vertex looks only at the lower
     neighbors that can still be in different lakes: a lower neighbor is
     skipped when another one before it is adjacent to it, because the later
-    of the two joined the other's lake when it was flooded.  Under axis
+    of the two joined the other's lake when it was flooded.  Under full
+    connectivity those are the neighbors that are not the least of the box
+    they share with the vertex (the grid's box-minimum stencil); under axis
     connectivity no two neighbors of a vertex are adjacent, so every lower
-    neighbor is looked at.
+    neighbor is looked at.  Where a vertex meets exactly two lakes, the
+    younger one's minimum is paired and the smaller member list relabelled
+    into the larger.
     """
     return _dynamics_columns(field).to_list()
 

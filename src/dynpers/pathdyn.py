@@ -15,7 +15,14 @@ import math
 import numpy as np
 
 from .errors import UsageError
-from .grid import ScalarField, _descent, _geometry, _kruskal, _vertex_order
+from .grid import (
+    ScalarField,
+    _candidate_edges,
+    _descent,
+    _kruskal,
+    _offset_slices,
+    _vertex_order,
+)
 
 INF = math.inf
 
@@ -81,23 +88,27 @@ def oracle_columns(field: ScalarField) -> tuple:
     key: it answers a vertex that is no local minimum and is never replayed.
     The components left are trees hanging from the local minima
     (:func:`grid._descent` of the keys); the later rounds run on the grid
-    edges between them.
+    edges between them that can lie in the forest
+    (:func:`grid._candidate_edges`).  Under full connectivity an edge whose
+    box holds a key below both ends is the heaviest edge of a triangle and
+    is dropped, so the oracle's keys thin the edges once more, by their own
+    box minima; under axis connectivity every edge is a candidate.
 
-    From :mod:`dynpers.grid` the oracle takes only the field's grid geometry
-    (``_geometry``: its offset slices and edge list), ``_vertex_order``,
-    ``_descent`` and ``_kruskal`` (the cut edges, Borůvka and the shared
-    replay), which the merge tree runs on its own keys, the ranks; its keys
-    come from the values alone, and it never builds the total order or the
-    field's descent basins.
+    From :mod:`dynpers.grid` the oracle takes only the field's offset slices
+    (``_offset_slices``), ``_vertex_order``, ``_descent``,
+    ``_candidate_edges`` and ``_kruskal`` (the cut edges, Borůvka and the
+    shared replay), which the merge tree runs on its own keys, the ranks;
+    its keys come from the values alone, and it never builds the total order
+    or the field's descent basins.
     """
     if field._oracle_cache is None:
         n = field.n_vertices
-        slices, edges = _geometry(field)
         verts = _vertex_order(field.values)
         key = np.empty(n, dtype=np.intp)
         key[verts] = np.arange(n)
         # tree ids ascend with their minima's keys
-        _, is_min, tree = _descent(key.reshape(field.shape), slices)
+        _, is_min, tree = _descent(key.reshape(field.shape), _offset_slices(field))
+        edges = _candidate_edges(field, key)
         top, _, x, y = _kruskal(key, verts, tree, edges, int(is_min.sum()))
 
         mins = verts[np.flatnonzero(is_min)]

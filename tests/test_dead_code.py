@@ -64,10 +64,13 @@ def test_every_private_definition_is_referenced():
 
 
 FLOOD = ("_lower_rows", "_dynamics_columns")
-# grid's spanning-forest helpers, the merge tree, and the caches of the basins and the oracle
+# grid's spanning-forest helpers (the box minima themselves are a grid stencil the flood
+# may read, but not the forests' thinning of the edges by them), the merge tree, and the
+# caches of the basins and the oracle
 OTHER_ROUTES = {
-    "_least_key", "_descent", "_descent_basins", "_cut_edges", "_boruvka", "_replay", "_kruskal",
-    "_jump", "build_merge_tree", "_persistence_columns", "_basin_cache", "_oracle_cache", "pathdyn",
+    "_least_key", "_descent", "_descent_basins", "_cut_edges", "_candidate_edges", "_boruvka",
+    "_replay", "_kruskal", "_jump", "build_merge_tree", "_persistence_columns", "_basin_cache",
+    "_oracle_cache", "pathdyn",
 }
 
 

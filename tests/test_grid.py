@@ -23,10 +23,15 @@ from dynpers import (
 )
 from dynpers import build_merge_tree, cli, grid, morphology, pairing, pathdyn
 from dynpers.grid import (
+    _box_minima,
     _build_neighbor_lists,
+    _candidate_edges,
     _cut_edges,
+    _descent,
     _descent_basins,
     _geometry,
+    _kruskal,
+    _offset_slices,
     _replay,
     _vertex_order,
     neighbor_table,
@@ -365,6 +370,123 @@ class TestGeometryCache:
             assert _geometry(g) is g._geometry_cache and isinstance(slices, tuple)
             assert not any(column.flags.writeable for column in edges)
         assert len(builds) == 3
+
+
+    def test_box_grid_requests_leave_the_flat_edge_slot_empty(self, capsys, monkeypatch):
+        # full connectivity thins the forests' edges from the box minima, so
+        # neither pairing route nor the oracle needs every edge
+        fields = []
+        init = ScalarField.__init__
+
+        def spy(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            fields.append(self)
+
+        monkeypatch.setattr(ScalarField, "__init__", spy)
+        values = np.random.default_rng(5).uniform(0.0, 1.0, 120).tolist()
+        monkeypatch.setattr(sys, "stdin", io.StringIO(
+            "FIELD 3 5 4 6\n" + "".join(f"{v!r}\n" for v in values)))
+        assert cli.main(["--connectivity", "full", "pairs", "--method", "both"]) == 0
+        assert cli.main(["--connectivity", "full", "verify", "--trials", "2", "--shape", "5x4x6"]) == 0
+        capsys.readouterr()
+        assert len(fields) == 3 and sum(g._oracle_cache is not None for g in fields) == 2
+        assert all(g._geometry_cache[1] is None for g in fields)
+        _geometry(fields[0])  # a caller that needs every edge still gets them
+        assert fields[0]._geometry_cache[1] is not None
+
+
+def brute_box_minima(padded, t):
+    """Per position ``p`` of the padded key array, the least entry over the
+    positions ``w`` inside it with ``|w - p| <= 1`` and ``|w - p - t| <= 1``
+    on every axis, by enumeration."""
+    out = np.empty_like(padded)
+    for p in np.ndindex(padded.shape):
+        ranges = [range(max(0, c - 1, c + d - 1), min(e, c + 2, c + d + 2))
+                  for c, d, e in zip(p, t, padded.shape)]
+        out[p] = min(padded[w] for w in itertools.product(*ranges))
+    return out
+
+
+class TestBoxMinima:
+    """The one stencil behind the box-grid descent, the thinned Kruskal edges
+    and the flood's rows, against enumeration."""
+
+    SHAPES = ((1,), (2,), (7,), (1, 5), (2, 2), (2, 7), (4, 6), (3, 1, 4), (2, 3, 2),
+              (1, 2, 3, 1), (2, 1, 2, 3), (3, 2, 2, 3))
+
+    def test_equals_brute_force_box_minima(self):
+        rng = np.random.default_rng(7039)
+        for shape in self.SHAPES:
+            n = int(np.prod(shape))
+            offsets = list(itertools.product(*[(-1, 0, 1) if e > 1 else (0,) for e in shape]))
+            for key in (rng.permutation(n), rng.integers(0, n, n)):  # ties too
+                keys, low, inner = _box_minima(key.reshape(shape), offsets)
+                assert keys.dtype == np.min_scalar_type(n)
+                assert keys.shape == tuple(e + 2 * (e > 1) for e in shape)
+                assert np.array_equal(keys[inner].reshape(-1), key)
+                outside = np.ones(keys.shape, dtype=bool)
+                outside[inner] = False
+                assert np.all(keys[outside] == n)
+                for t in offsets:
+                    assert low[t].dtype == keys.dtype
+                    assert np.array_equal(low[t], brute_box_minima(keys, t)), (shape, t)
+
+    def test_least_key_is_the_closed_neighbourhood_minimum(self):
+        rng = np.random.default_rng(7043)
+        for shape in self.SHAPES:
+            n = int(np.prod(shape))
+            for conn in Connectivity:
+                slices = offset_slices(shape, conn)
+                table = neighbor_table(shape, conn)
+                key = rng.permutation(n)
+                expected = [min([key[v]] + [key[u] for u in row if u >= 0])
+                            for v, row in enumerate(table.tolist())]
+                got = grid._least_key(key.reshape(shape), slices)
+                assert got.dtype == key.dtype and got.tolist() == expected
+
+    def test_candidate_edges_are_the_box_least_edges(self):
+        rng = np.random.default_rng(7057)
+        for shape in self.SHAPES:
+            n = int(np.prod(shape))
+            for conn in ("axis", "full"):
+                f = ScalarField(shape, rng.uniform(0.0, 1.0, n), conn)
+                key = rng.permutation(n)
+                heads, tails = _candidate_edges(f, key)
+                assert heads.dtype == tails.dtype == np.intp
+                every = set(zip(*(column.tolist() for column in _geometry(f)[1])))
+                if not grid._is_box(shape, _offset_slices(f)):
+                    assert set(zip(heads.tolist(), tails.tolist())) == every
+                    continue
+                closed = [set(row[row >= 0].tolist()) | {v}
+                          for v, row in enumerate(neighbor_table(shape, Connectivity.FULL))]
+                expected = {(a, b) for a, b in every
+                            if min(key[a], key[b]) == min(key[w] for w in closed[a] & closed[b])}
+                got = list(zip(heads.tolist(), tails.tolist()))
+                assert len(got) == len(set(got)) and set(got) == expected
+
+    def test_thinned_kruskal_is_the_full_edge_lists(self):
+        # for the merge tree's ranks and for the oracle's own keys
+        fields = [f for f in tie_heavy_fields(7069, 240, GRIDS_4D)
+                  if f.connectivity is Connectivity.FULL]
+        assert len(fields) == 120
+        thinned = 0
+        for f in fields:
+            order, rank = f.total_order()
+            minima, basin, _ = _descent_basins(f)
+            verts = _vertex_order(f.values)
+            key = np.empty(f.n_vertices, dtype=np.intp)
+            key[verts] = np.arange(f.n_vertices)
+            _, is_min, tree = _descent(key.reshape(f.shape), _offset_slices(f))
+            for k, o, label, count in ((rank, order, basin, minima.size),
+                                      (key, verts, tree, int(is_min.sum()))):
+                edges = _candidate_edges(f, k)
+                thinned += edges[0].size < _geometry(f)[1][0].size
+                got = _kruskal(k, o, label, edges, count)
+                expected = _kruskal(k, o, label, _geometry(f)[1], count)
+                for column, reference in zip(got, expected):
+                    assert column.dtype == reference.dtype
+                    assert np.array_equal(column, reference)
+        assert thinned == 2 * len(fields)
 
 
 def reference_elder_rule(a: list, b: list, k: int) -> np.ndarray:

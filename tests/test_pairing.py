@@ -580,6 +580,24 @@ class TestFloodAgainstReference:
         for seed, shape in enumerate(((64, 64), (5, 5, 5, 5))):
             self.check(generate(GeneratorSpec("uniform_random", shape, seed, connectivity="full")))
 
+    def test_three_and_four_way_merges(self):
+        # nine plus-shaped blocks apart from each other: each centre is the
+        # first vertex to reach the lakes of its three or four low arms, so
+        # rows with more than two lakes take the generic merge
+        rng = np.random.default_rng(59)
+        for arms in (3, 4):
+            for _ in range(4):
+                vals = np.full((12, 12), 10.0)
+                for i, j in itertools.product((2, 6, 10), repeat=2):
+                    vals[i, j] = 5.0 + rng.uniform()
+                    ends = [(i - 1, j), (i, j - 1), (i, j + 1), (i + 1, j)]
+                    for k in rng.permutation(4)[:arms]:
+                        vals[ends[k]] = rng.uniform()
+                f = ScalarField((12, 12), vals)
+                self.check(f)
+                widths = collections.Counter(build_merge_tree(f).saddles)
+                assert list(widths.values()).count(arms - 1) == 9
+
 
 def extent_one_fields(seed):
     """Fields on grids with axes of extent 1, under both connectivities, and
