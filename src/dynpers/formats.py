@@ -23,7 +23,7 @@ FORMATS = ("csv-1d", "pgm-2d", "field-nd")
 # Text is written _ROWS rows (values, records, members) at a time and parsed
 # about _CHARS characters at a time, so neither side ever holds a Python
 # object per value of the whole field.
-_ROWS = 4096
+_ROWS = 1024
 _CHARS = 1 << 16
 
 _SPACE = re.compile(r"\s")  # exactly the characters where str.isspace() is true

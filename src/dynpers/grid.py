@@ -162,6 +162,12 @@ def _offsets(shape, connectivity: Connectivity):
     return [off for off in itertools.product(*steps) if any(off)]
 
 
+def _linear(shape, offset) -> int:
+    """The linear offset of ``offset`` on a grid of ``shape``: its dot
+    product with the row-major strides."""
+    return sum(d * math.prod(shape[i + 1:]) for i, d in enumerate(offset))
+
+
 def offset_slices(shape, connectivity) -> list:
     """``(offset, src, dst)`` per neighbor offset of the grid, in ascending
     linear offset; offsets that share one (on an axis of extent 2, ``(0, 1)``
@@ -170,12 +176,15 @@ def offset_slices(shape, connectivity) -> list:
     For an array ``a`` of the field's shape, ``a[dst]`` holds, position by
     position, the neighbor at ``offset`` of each vertex in ``a[src]``.
     """
-    strides = [math.prod(shape[i + 1:]) for i in range(len(shape))]
+    offsets = _offsets(shape, connectivity)
+    linear = [_linear(shape, off) for off in offsets]
+    # per axis and step, the (src, dst) slices along that axis
+    cuts = [{-1: (slice(1, e), slice(0, e - 1)), 0: (slice(0, e), slice(0, e)),
+             1: (slice(0, e - 1), slice(1, e))} for e in shape]
     out = []
-    for off in sorted(_offsets(shape, connectivity),
-                      key=lambda off: sum(d * s for d, s in zip(off, strides))):
-        src = tuple(slice(max(0, -d), e - max(0, d)) for d, e in zip(off, shape))
-        dst = tuple(slice(max(0, d), e - max(0, -d)) for d, e in zip(off, shape))
+    for j in np.argsort(linear, kind="stable").tolist():
+        off = offsets[j]
+        src, dst = zip(*(cut[d] for cut, d in zip(cuts, off)))
         out.append((off, src, dst))
     return out
 
@@ -327,36 +336,40 @@ def _jump(parent: np.ndarray) -> np.ndarray:
 
 
 def _boruvka(a, b, weight, k: int) -> np.ndarray:
-    """Indices of the minimum spanning forest's edges ``(a[i], b[i])`` over
-    ``k`` nodes, ascending by ``weight``, which is unique per edge.
+    """The weights of the minimum spanning forest's edges ``(a[i], b[i])``
+    over ``k`` nodes, ascending; ``weight`` is unique per edge, so the
+    weights name the edges.
 
     Every component takes its least incident edge, hooks along it (a mutual
     pair hooks toward the smaller id) and pointer-jumps to its new root; the
-    edges now inside one component are dropped.  Only the forest's edges
+    edges now inside one component are dropped.  Only the forest's weights
     are sorted.
     """
     ids = np.arange(k)
-    forest = np.zeros(a.size, dtype=bool)
-    edge, w = np.arange(a.size), weight  # the edges left; a and b hold their ends' roots
+    forest = [weight[:0]]  # per round, the weights of the edges it takes
+    w = weight  # the weights of the edges left; a and b hold their ends' roots
     none = np.iinfo(w.dtype).max
-    while edge.size:
+    while w.size:
         best = np.full(k, none)
         np.minimum.at(best, a, w)
         np.minimum.at(best, b, w)
         at_a = np.flatnonzero(w == best[a])  # the least edge of its a end
         at_b = np.flatnonzero(w == best[b])
-        forest[edge[at_a]] = forest[edge[at_b]] = True
+        taken = np.zeros(w.size, dtype=bool)  # an edge may be the least of both ends
+        taken[at_a] = taken[at_b] = True
+        forest.append(w[taken])
         hook = ids.copy()
         hook[a[at_a]] = b[at_a]
         hook[b[at_b]] = a[at_b]
         mutual = (hook[hook] == ids) & (ids < hook)
         hook[mutual] = ids[mutual]
         hook = _jump(hook)
-        a, b = hook[a], hook[b]
-        keep = np.flatnonzero(a != b)
-        a, b, w, edge = a[keep], b[keep], w[keep], edge[keep]
-    forest = np.flatnonzero(forest)
-    return forest[np.argsort(weight[forest])]
+        a = hook[a]
+        keep = np.flatnonzero(a != hook[b])  # the edges between two components
+        a = a[keep]  # one edge array of full length at a time
+        b = hook[b[keep]]
+        w = w[keep]
+    return np.sort(np.concatenate(forest))
 
 
 def _descent(key, slices) -> tuple:
@@ -382,22 +395,29 @@ def _cut_edges(key, label, edges) -> tuple:
     """``(a, b, weight)``: every edge of ``edges`` whose ends carry different
     labels, as the two labels and ``max(key) * n + min(key)``, a weight
     unique per edge.  ``key`` is a permutation of ``0 .. n - 1`` and
-    ``label`` one integer per vertex, both flat, and ``edges`` grid edges
-    as ``(heads, tails)``: all of them (:func:`_geometry`) or the
-    :func:`_candidate_edges`.
+    ``label`` one nonnegative integer per vertex, both flat, and ``edges``
+    grid edges as ``(heads, tails)``: all of them (:func:`_geometry`) or
+    the :func:`_candidate_edges`.
 
     Every step is a gather by integer index; selecting by a boolean mask
-    would branch on each edge, and the cut edges come in no pattern.
+    would branch on each edge, and the cut edges come in no pattern.  Only
+    the label comparison reads every edge, in the least type that holds the
+    labels, so besides ``edges`` no full-width array over every edge is
+    made; the cut edges' keys go into the weight before their labels are
+    gathered.
     """
     heads, tails = edges
-    a, b = label[heads], label[tails]
-    cut = np.flatnonzero(a != b)
-    a, b = a[cut], b[cut]  # frees the labels of all edges before the keys are read
-    kh, kt = key[heads[cut]], key[tails[cut]]
+    small = label.astype(np.min_scalar_type(label.max()))
+    cut = np.flatnonzero(small[heads] != small[tails])
+    del small
+    heads, tails = heads[cut], tails[cut]
+    del cut
+    kh, kt = key[heads], key[tails]
     weight = np.maximum(kh, kt)
     weight *= key.size
-    weight += np.minimum(kh, kt)
-    return a, b, weight
+    weight += np.minimum(kh, kt, out=kh)
+    del kh, kt
+    return label[heads], label[tails], weight
 
 
 def _replay(a, b, k: int) -> tuple:
@@ -434,8 +454,7 @@ def _kruskal(key, order, label, edges, k: int) -> tuple:
     :func:`_replay` of ``label[order[hi]]`` against ``label[order[lo]]``
     joins.
     """
-    a, b, weight = _cut_edges(key, label, edges)
-    hi, lo = np.divmod(weight[_boruvka(a, b, weight, k)], key.size)
+    hi, lo = np.divmod(_boruvka(*_cut_edges(key, label, edges), k), key.size)
     return (hi, lo) + _replay(label[order[hi]], label[order[lo]], k)
 
 
@@ -459,11 +478,9 @@ def _candidate_edges(field: ScalarField, key) -> tuple:
     offsets = [off for off, _, _ in slices if off > zero]
     keys, low, inner = _box_minima(key.reshape(shape), offsets)
     flat, n = keys.reshape(-1), key.size
-    steps = [s // keys.itemsize for s in keys.strides]
-    strides = [math.prod(shape[i + 1:]) for i in range(field.ndim)]
     heads, tails = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]  # maybe no edge
     for off in offsets:
-        t = sum(d * s for d, s in zip(off, steps))  # positive, as the offset is
+        t = _linear(keys.shape, off)  # positive, as the offset is
         a, b = flat[:-t], flat[t:]
         keep = np.zeros(keys.shape, dtype=bool)
         kept = keep.reshape(-1)[:-t]  # by the lesser position of each pair
@@ -471,7 +488,7 @@ def _candidate_edges(field: ScalarField, key) -> tuple:
         kept &= np.maximum(a, b) < n  # both ends in the grid
         head = np.flatnonzero(keep[inner])
         heads.append(head)
-        tails.append(head + sum(d * s for d, s in zip(off, strides)))
+        tails.append(head + _linear(shape, off))
     return np.concatenate(heads), np.concatenate(tails)
 
 
@@ -489,24 +506,34 @@ def _geometry(field: ScalarField) -> list:
     shared by the fields of :func:`_with_values`.  ``slices`` are its
     :func:`offset_slices` as a tuple (:func:`_offset_slices`), and
     ``edges`` every grid edge once as two read-only int arrays ``(heads,
-    tails)`` with ``heads < tails``, one block per offset greater than zero
-    (each offset's ``±`` pair gives one direction of the same edges).
+    tails)`` with ``heads < tails``, ascending by ``(head, tail)``.
+
+    The edges are the slots of a per-vertex table, one slot per offset
+    greater than zero in ascending linear offset (each offset's ``±`` pair
+    gives one direction of the same edges), read in row-major order; two
+    offsets with one linear offset never both lead inside the grid from one
+    vertex, so the tails of a head ascend strictly.
 
     The edge list is built on the first call, for the callers that need
-    every edge; the descent, the box-grid forests (:func:`_candidate_edges`)
-    and the flood read the slices alone and leave its slot ``None``.
+    every edge; the descent, the plateaus, the box-grid forests
+    (:func:`_candidate_edges`) and the flood read the slices alone and
+    leave its slot ``None``.
     """
     slices = _offset_slices(field)
     geometry = field._geometry_cache
     if geometry[1] is None:
-        lin = np.arange(field.n_vertices).reshape(field.shape)
         zero = (0,) * field.ndim
-        heads, tails = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]  # maybe no edge
-        for off, src, dst in slices:
-            if off > zero:
-                heads.append(lin[src].reshape(-1))
-                tails.append(lin[dst].reshape(-1))
-        edges = (np.concatenate(heads), np.concatenate(tails))
+        forward = [(off, src) for off, src, _ in slices if off > zero]
+        slot = np.zeros(field.shape + (len(forward),), dtype=bool)
+        for j, (_, src) in enumerate(forward):
+            slot[src + (j,)] = True
+        at = np.flatnonzero(slot)
+        heads = at // len(forward)
+        steps = np.array([_linear(field.shape, off) for off, _ in forward], dtype=np.intp)
+        at -= heads * len(forward)  # the slot's index in its vertex's row
+        tails = steps[at]
+        tails += heads
+        edges = (heads, tails)
         for column in edges:
             column.flags.writeable = False
         geometry[1] = edges

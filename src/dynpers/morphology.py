@@ -29,6 +29,8 @@ from .grid import (
     _descent_basins,
     _geometry,
     _jump,
+    _linear,
+    _offset_slices,
     _replay,
     _with_values,
     filtration_order,
@@ -42,16 +44,26 @@ def _plateaus(field: ScalarField) -> tuple:
 
     ``lower`` reads the cached steepest step (:func:`grid._descent_basins`):
     the least-rank vertex of a neighborhood is strictly lower than the vertex
-    exactly when some neighbor is.  The plateaus hook and jump over the
-    field's equal-valued edges: each round links every plateau root to the
-    least root across its edges, then pointer-jumps; edges inside one
-    plateau are dropped.
+    exactly when some neighbor is.  The equal-valued edges are found per
+    offset greater than zero by comparing the value grid with its shifted
+    slice (:func:`grid.offset_slices`), so no per-edge array is gathered.
+    The plateaus hook and jump over those edges: each round links every
+    plateau root to the least root across its edges, then pointer-jumps;
+    edges inside one plateau are dropped.
     """
     values = field.values
     lower = values[field.total_order()[0][_descent_basins(field)[2]]] < values
-    heads, tails = _geometry(field)[1]
-    equal = np.flatnonzero(values[heads] == values[tails])
-    a, b = heads[equal], tails[equal]
+    grid = values.reshape(field.shape)
+    zero = (0,) * field.ndim
+    heads, tails = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]  # maybe no edge
+    for off, src, dst in _offset_slices(field):
+        if off > zero:
+            equal = np.zeros(field.shape, dtype=bool)
+            np.equal(grid[src], grid[dst], out=equal[src])
+            head = np.flatnonzero(equal)
+            heads.append(head)
+            tails.append(head + _linear(field.shape, off))
+    a, b = np.concatenate(heads), np.concatenate(tails)
     plateau = np.arange(field.n_vertices)
     while a.size:
         np.minimum.at(plateau, np.maximum(a, b), np.minimum(a, b))
@@ -111,22 +123,9 @@ class WatershedLabels:
         return set(zip(heads[cut].tolist(), tails[cut].tolist()))
 
 
-def _edge_arrays(field: ScalarField) -> tuple:
-    """``(heads, tails)``: every grid edge once, ``heads < tails``, ascending by
-    ``(head, tail)``: the field's cached edge list, sorted by the unique keys
-    ``head * n + tail`` (below ``n ** 2``).
-
-    The list is one ascending run per offset, which numpy's stable sort
-    (timsort) merges in about linear time.
-    """
-    heads, tails = _geometry(field)[1]
-    pick = np.argsort(heads * field.n_vertices + tails, kind="stable")
-    return heads[pick], tails[pick]
-
-
 def iter_edges(field: ScalarField):
     """All grid edges as (u, v) with u < v, in ascending order."""
-    heads, tails = _edge_arrays(field)
+    heads, tails = _geometry(field)[1]
     return zip(heads.tolist(), tails.tolist())
 
 
@@ -134,20 +133,25 @@ def _basin_redirects(field: ScalarField, minima, basin, markers, plateaus):
     """Per local minimum (by age), the age of the marker minimum whose label
     its descent basin takes; ``None`` when the markers need the flood (see
     :func:`watershed_from_markers` for the condition).  ``plateaus`` is the
-    field's :func:`_plateaus`, or ``None`` to search them only if needed."""
-    mins = minima.tolist()
-    marked = set(markers)
-    if not marked <= set(mins):
+    field's :func:`_plateaus`, or ``None`` to search them only if needed.
+
+    A vertex is a local minimum exactly when it is the minimum of its own
+    descent basin, so membership and the unmarked ages are read from numpy
+    masks over the ages, without a Python set."""
+    ids = np.asarray(markers, dtype=np.intp)
+    if not (minima[basin[ids]] == ids).all():
         return None
+    marked = np.zeros(minima.size, dtype=bool)  # per age
+    marked[basin[ids]] = True
     redirect = np.arange(minima.size)
-    unmarked = np.array([age for age, m in enumerate(mins) if m not in marked], dtype=np.intp)
+    unmarked = np.flatnonzero(~marked)
     if unmarked.size:
         plateau, lower = _plateaus(field) if plateaus is None else plateaus
         exits = np.bincount(plateau[lower], minlength=field.n_vertices)
         exit_vertex = np.zeros(field.n_vertices, dtype=np.intp)
         exit_vertex[plateau[lower]] = np.flatnonzero(lower)
         held = np.zeros(field.n_vertices, dtype=bool)
-        held[plateau[markers]] = True
+        held[plateau[ids]] = True
         where = plateau[minima[unmarked]]
         if (exits[where] != 1).any() or held[where].any():
             return None
@@ -406,11 +410,14 @@ def _fuse_levels(child, parent, weight, lo, hi, leaves: int) -> np.ndarray:
     of two leaves is the union that first joins them: the heaviest edge of
     their path, and of equal weights the last in order.  Numpy links it from
     the roots of the shared union-find replay (:func:`_reconstruction_tree`);
-    binary lifting answers every pair at once.
+    binary lifting answers every pair at once.  Its table (one array of every
+    node per level) and the depths are kept in the least signed type that
+    holds the node count.
     """
     step = _reconstruction_tree(child, parent, leaves)
+    step = step.astype(np.min_scalar_type(-step.size))
     # anc[j][x] is the 2**j-th ancestor of x, or its root when that is nearer.
-    depth = (step != np.arange(step.size)).astype(np.intp)  # distance from x to step[x]
+    depth = (step != np.arange(step.size)).astype(step.dtype)  # distance from x to step[x]
     anc = [step]
     while True:
         nxt = step[step]
@@ -441,29 +448,28 @@ def saliency(field: ScalarField) -> SaliencyMap:
     finally fuses their regions.
     """
     lab = watershed(field)._labels
-    heads, tails = _edge_arrays(field)
+    heads, tails = _geometry(field)[1]  # read-only, ascending by (u, v)
     a, b = lab[heads], lab[tails]
     cut = np.flatnonzero(a != b)
     values = np.zeros(heads.size)
     if cut.size:
         n = field.n_vertices
+        a, b = a[cut], b[cut]  # the labels of every edge go before the merge tree is built
         # distinct basin pairs, as lo * n + hi with lo < hi
-        pairs, which = np.unique(
-            np.minimum(a[cut], b[cut]) * n + np.maximum(a[cut], b[cut]), return_inverse=True
-        )
+        pairs, which = np.unique(np.minimum(a, b) * n + np.maximum(a, b), return_inverse=True)
+        del a, b
         tree = build_merge_tree(field)
         dying = tree._dying_mins
         weight = tree._levels - field.values[dying]
         kruskal = np.lexsort((dying, weight))
-        dying = dying[kruskal]
-        # every vertex in play (dying minima, absorbing basins, pair ends) as a compact id
-        ends = (dying, lab[tree._gates[kruskal]], pairs // n, pairs % n)
-        nodes, compact = np.unique(np.concatenate(ends), return_inverse=True)
-        child, parent, lo, hi = np.split(compact, np.cumsum([e.size for e in ends[:3]]))
-        fuse = _fuse_levels(child, parent, weight[kruskal], lo, hi, nodes.size)
+        # every minimum in play (dying minima, absorbing basins, pair ends) by its age,
+        # the index of its own descent basin
+        age = _descent_basins(field)[1]
+        child, parent = age[dying[kruskal]], age[lab[tree._gates[kruskal]]]
+        lo, hi = age[pairs // n], age[pairs % n]
+        fuse = _fuse_levels(child, parent, weight[kruskal], lo, hi, tree._minima.size)
         values[cut] = fuse[which]
-    for column in (heads, tails, values):
-        column.flags.writeable = False
+    values.flags.writeable = False
     return SaliencyMap(
         heads=heads, tails=tails, values=values, shape=field.shape, connectivity=field.connectivity
     )
@@ -480,9 +486,17 @@ def saliency_to_field(sal: SaliencyMap) -> ScalarField:
         raise UsageError("the interleaved-grid form needs axis connectivity; use the edge list")
     doubled = tuple(2 * e - 1 for e in sal.shape)
     out = np.zeros(doubled, dtype=np.float64)
-    head = np.unravel_index(sal.heads, sal.shape)
-    tail = np.unravel_index(sal.tails, sal.shape)
-    out[tuple(h + t for h, t in zip(head, tail))] = sal.values
+    # each edge's flat position there, one axis at a time: the sum of its ends' coordinates
+    at = np.zeros(sal.heads.size, dtype=np.intp)
+    for axis, e in enumerate(sal.shape):
+        stride = math.prod(sal.shape[axis + 1:])
+        coord = sal.heads // stride % e
+        coord += sal.tails // stride % e
+        coord *= math.prod(doubled[axis + 1:])
+        at += coord
+    del coord
+    out.reshape(-1)[at] = sal.values
+    del at
     return ScalarField(doubled, out.reshape(-1), Connectivity.AXIS)
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
+from itertools import chain, islice
 
 import numpy as np
 
@@ -26,11 +26,15 @@ from .grid import (
     _descent_basins,
     _is_box,
     _kruskal,
+    _linear,
     _neighbor_table,
     _offset_slices,
 )
 
 INF = math.inf
+
+# The flood turns its rows into Python ints this many entries at a time.
+_ROW_SLICE = 4096
 
 
 @dataclass(frozen=True)
@@ -266,8 +270,9 @@ def pair_by_persistence(field: ScalarField) -> list:
 
 def _lower_rows(field: ScalarField) -> tuple:
     """``(lower, counts)``: per rank ``r``, ``counts[r]`` ranks of neighbors
-    that precede ``r`` in the total order, the next run of the flat list
-    ``lower``.
+    that precede ``r`` in the total order, the next run of the flat array
+    ``lower``.  ``lower`` is a numpy array in the least unsigned type that
+    holds the vertex count, and ``counts`` a list of (small, cached) ints.
 
     The runs are pruned: a lower neighbor ``u`` of ``r`` is dropped when
     another lower neighbor ``w`` of ``r`` precedes ``u`` and is adjacent to
@@ -290,10 +295,9 @@ def _lower_rows(field: ScalarField) -> tuple:
         offsets = [off for off, _, _ in slices if off > zero]
         ranks, low, _ = _box_minima(rank.reshape(shape), offsets)
         flat = ranks.reshape(-1)
-        steps = [s // ranks.itemsize for s in ranks.strides]
         his, los = [], []
         for off in offsets:
-            t = sum(d * s for d, s in zip(off, steps))  # positive, as the offset is
+            t = _linear(ranks.shape, off)  # positive, as the offset is
             a, b = flat[:-t], flat[t:]
             lesser, greater = np.minimum(a, b), np.maximum(a, b)
             kept = lesser == low[off].reshape(-1)[:-t]
@@ -302,7 +306,7 @@ def _lower_rows(field: ScalarField) -> tuple:
             his.append(greater[kept])
             los.append(lesser[kept])
         hi, lo = np.concatenate(his), np.concatenate(los)
-        return lo[np.argsort(hi, kind="stable")].tolist(), np.bincount(hi, minlength=n).tolist()
+        return lo[np.argsort(hi, kind="stable")], np.bincount(hi, minlength=n).tolist()
     # outside the box reads n, which precedes no rank; the least type that holds n
     rank = rank.astype(np.min_scalar_type(n))
     nrank = _neighbor_table(rank.reshape(shape), slices, n)[order]
@@ -310,15 +314,18 @@ def _lower_rows(field: ScalarField) -> tuple:
     counts = keep.sum(axis=1)
     # an integer gather: a boolean mask would branch on every entry
     lower = nrank.reshape(-1)[np.flatnonzero(keep)]
-    del nrank, keep  # the table goes before its lower entries become Python ints
-    return lower.tolist(), counts.tolist()
+    del nrank, keep  # the table goes before the counts become Python ints
+    return lower, counts.tolist()
 
 
 def _dynamics_columns(field: ScalarField) -> _PairColumns:
     """The pairs of :func:`pair_by_dynamics` as columns; the flooding itself.
 
     The flood runs in rank space: lakes hold ranks, and a lake's minimum is
-    its least rank.  Ranks become vertex ids only in the columns.
+    its least rank.  Ranks become vertex ids only in the columns.  The rows
+    (:func:`_lower_rows`) become Python ints :data:`_ROW_SLICE` entries at a
+    time as the loop reads them, so the whole row list never exists as
+    Python objects.
     """
     lower, counts = _lower_rows(field)
     lake_of = [-1] * field.n_vertices
@@ -326,7 +333,9 @@ def _dynamics_columns(field: ScalarField) -> _PairColumns:
     lake_members: list = []  # lake id -> member ranks
     mins, saddles = [], []  # ranks of the finite pairs' minima and meeting vertices
 
-    rows = iter(lower)
+    rows = chain.from_iterable(
+        lower[lo:lo + _ROW_SLICE].tolist() for lo in range(0, lower.size, _ROW_SLICE)
+    )
     take = rows.__next__
     for r, count in enumerate(counts):
         if count == 1:

@@ -146,7 +146,9 @@ def test_read_field_rejects_non_ascii(tmp_path, data, offset):
 # --- sliced writer and readers ---------------------------------------------
 
 R = formats._ROWS
-LENGTHS = (1, R - 1, R, R + 1, 2 * R + 1)
+# the edges of one and two slices, and lengths that span several slices
+# (4096 is a whole number of slices for any power-of-two slice up to 4096 rows)
+LENGTHS = tuple(sorted({1, R - 1, R, R + 1, 2 * R + 1, 4095, 4096, 4097, 8193}))
 # every ASCII character where str.isspace() is true
 ASCII_SPACES = " \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f"
 
@@ -229,7 +231,7 @@ class TestSlicedWriter:
             assert write_field(field, path, fmt=fmt) == expected
             assert path.read_text(encoding="ascii") == expected
 
-    @pytest.mark.parametrize("width", [1, 3, R - 1, R, R + 1])
+    @pytest.mark.parametrize("width", sorted({1, 3, R - 1, R, R + 1, 4095, 4096, 4097}))
     def test_pgm_equals_the_whole_text(self, width):
         step = max(1, R // width)  # image rows per slice
         rng = np.random.default_rng(width)

@@ -2,6 +2,7 @@ import bisect
 import heapq
 import itertools
 import math
+import tracemalloc
 from collections import deque
 
 import numpy as np
@@ -984,6 +985,30 @@ class TestSegmentPipeline:
                 assert labels.region_count == curve.value_at(t)
                 assert labels.region_count == filtered_curve.value_at(t)
                 assert labels.region_count == len(surviving_minima(f, t))
+
+
+class TestSaliencyMemory:
+    @pytest.mark.parametrize("side", [64, 120])
+    def test_no_all_edge_label_array_is_held_into_the_merge_tree(self, side, monkeypatch):
+        # Traced memory when saliency's merge tree starts, in units of one int64 array
+        # over every edge: 6.95 here, 10.95 when the labels of every edge (two such
+        # arrays) and a sorted copy of the edge list (two more) were still held.
+        f = ScalarField((side, side), np.random.default_rng(side).uniform(size=side * side))
+        held = []
+        build = morphology.build_merge_tree
+
+        def spy(field):
+            held.append(tracemalloc.get_traced_memory()[0])
+            return build(field)
+
+        monkeypatch.setattr(morphology, "build_merge_tree", spy)
+        tracemalloc.start()
+        try:
+            saliency(f)
+        finally:
+            tracemalloc.stop()
+        edge_array = 8 * 2 * side * (side - 1)
+        assert len(held) == 1 and held[0] < 8 * edge_array
 
 
 class TestEdges:

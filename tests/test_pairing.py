@@ -3,6 +3,7 @@ import io
 import itertools
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -639,6 +640,22 @@ class TestLowerRows:
                     assert (d not in row) == bool(nearer), (f, r, d)
                 if f.connectivity.value == "axis":
                     assert row == full
+
+
+class TestFloodMemory:
+    def test_rows_never_exist_as_python_ints_all_at_once(self):
+        # 256**2 uniform axis field: about 2 * n row entries.  As one list of Python ints
+        # they would take about 36 bytes each (a pointer and an int object), so the
+        # flood's traced peak read 9.77 MB when it held them; in slices it reads 5.93 MB.
+        f = ScalarField((256, 256), np.random.default_rng(0).uniform(size=256 * 256))
+        f.total_order()  # cached beforehand, so only the flood's own memory is traced
+        tracemalloc.start()
+        try:
+            _dynamics_columns(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 7.5 * 2**20
 
 
 class TestPairColumns:
