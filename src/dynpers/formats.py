@@ -293,7 +293,7 @@ def _read_pgm2d(text: str, connectivity) -> ScalarField:
 def _pgm2d_parts(field: ScalarField) -> list:
     if field.ndim != 2:
         raise UsageError(f"pgm-2d stores 2D fields only, got shape {field.shape}")
-    ints = np.rint(field.values).astype(np.int64)
+    ints = np.rint(field.values)  # checked before the int cast, undefined beyond int64
     if ints.min() < 0:
         raise UsageError("pgm-2d cannot store negative values")
     maxval = max(1, int(ints.max()))
@@ -303,7 +303,7 @@ def _pgm2d_parts(field: ScalarField) -> list:
     row = " ".join(["%d"] * width) + "\n"
 
     def text(lo, hi):
-        return (row * (hi - lo)) % tuple(ints[lo * width:hi * width].tolist())
+        return (row * (hi - lo)) % tuple(ints[lo * width:hi * width].astype(np.int64).tolist())
 
     header = f"P2\n{width} {height}\n{maxval}\n"
     return [header, _sliced(height, text, "", max(1, _ROWS // width))]

@@ -335,10 +335,10 @@ def _jump(parent: np.ndarray) -> np.ndarray:
         parent = nxt
 
 
-def _boruvka(a, b, weight, k: int) -> np.ndarray:
+def _boruvka(edges: list, k: int) -> np.ndarray:
     """The weights of the minimum spanning forest's edges ``(a[i], b[i])``
-    over ``k`` nodes, ascending; ``weight`` is unique per edge, so the
-    weights name the edges.
+    over ``k`` nodes, ascending, from ``edges = [a, b, weight]``, emptied so
+    that only the rounds hold the arrays; a weight is unique, so it names its edge.
 
     Every component takes its least incident edge, hooks along it (a mutual
     pair hooks toward the smaller id) and pointer-jumps to its new root; the
@@ -346,8 +346,8 @@ def _boruvka(a, b, weight, k: int) -> np.ndarray:
     are sorted.
     """
     ids = np.arange(k)
-    forest = [weight[:0]]  # per round, the weights of the edges it takes
-    w = weight  # the weights of the edges left; a and b hold their ends' roots
+    w, b, a = edges.pop(), edges.pop(), edges.pop()  # the weights left; a, b: their ends' roots
+    forest = [w[:0].copy()]  # per round, the weights of the edges it takes; a view would hold w
     none = np.iinfo(w.dtype).max
     while w.size:
         best = np.full(k, none)
@@ -454,7 +454,7 @@ def _kruskal(key, order, label, edges, k: int) -> tuple:
     :func:`_replay` of ``label[order[hi]]`` against ``label[order[lo]]``
     joins.
     """
-    hi, lo = np.divmod(_boruvka(*_cut_edges(key, label, edges), k), key.size)
+    hi, lo = np.divmod(_boruvka([*_cut_edges(key, label, edges)], k), key.size)
     return (hi, lo) + _replay(label[order[hi]], label[order[lo]], k)
 
 

@@ -129,34 +129,48 @@ def iter_edges(field: ScalarField):
     return zip(heads.tolist(), tails.tolist())
 
 
-def _basin_redirects(field: ScalarField, minima, basin, markers, plateaus):
-    """Per local minimum (by age), the age of the marker minimum whose label
-    its descent basin takes; ``None`` when the markers need the flood (see
-    :func:`watershed_from_markers` for the condition).  ``plateaus`` is the
-    field's :func:`_plateaus`, or ``None`` to search them only if needed.
-
-    A vertex is a local minimum exactly when it is the minimum of its own
-    descent basin, so membership and the unmarked ages are read from numpy
-    masks over the ages, without a Python set."""
-    ids = np.asarray(markers, dtype=np.intp)
-    if not (minima[basin[ids]] == ids).all():
-        return None
-    marked = np.zeros(minima.size, dtype=bool)  # per age
-    marked[basin[ids]] = True
-    redirect = np.arange(minima.size)
-    unmarked = np.flatnonzero(~marked)
-    if unmarked.size:
-        plateau, lower = _plateaus(field) if plateaus is None else plateaus
-        exits = np.bincount(plateau[lower], minlength=field.n_vertices)
-        exit_vertex = np.zeros(field.n_vertices, dtype=np.intp)
-        exit_vertex[plateau[lower]] = np.flatnonzero(lower)
-        held = np.zeros(field.n_vertices, dtype=bool)
-        held[plateau[ids]] = True
-        where = plateau[minima[unmarked]]
-        if (exits[where] != 1).any() or held[where].any():
-            return None
-        redirect[unmarked] = basin[exit_vertex[where]]  # a lower minimum's age
-    return _jump(redirect)
+def _immersion(field: ScalarField, plateau, lower) -> np.ndarray:
+    """Per vertex, the vertex whose label it takes in the flood from the
+    least vertices of the minimal plateaus, given the field's
+    :func:`_plateaus`; :func:`grid._jump` follows them to the labels.  The
+    flood labels every vertex below a level before it pops one at that level,
+    and pops a level in index order.  So an exit (a vertex with a strictly
+    lower neighbor) takes its steepest step; any other vertex its plateau's
+    least vertex if the plateau has no exit, the exit if it has one, else its
+    least plateau neighbor popped before it: one heap, started at those
+    plateaus' exits, pops by index and reads each vertex's plateau alone."""
+    home = plateau[lower]  # the plateau of each exit, by its least vertex
+    parent = plateau.copy()  # to the plateau's least vertex, and it to an exit, if any
+    parent[home] = np.flatnonzero(lower)
+    np.copyto(parent, field.total_order()[0][_descent_basins(field)[2]], where=lower)
+    inner = (~lower & (np.bincount(home, minlength=lower.size) > 1)[plateau]).reshape(field.shape)
+    if inner.any():
+        slices, grid = _offset_slices(field), plateau.reshape(field.shape)
+        near = inner.copy()  # with the exits beside them, the only vertices whose pops matter
+        for _, src, dst in slices:
+            near[src] |= inner[dst] & (grid[src] == grid[dst])
+        shared = np.flatnonzero(near)
+        m = shared.size  # the local id of every other vertex: queued, never popped
+        local = np.full(field.shape, m)
+        local.reshape(-1)[shared] = np.arange(m)  # ascending, as the vertex ids
+        table = np.empty((m, len(slices)), dtype=np.intp)  # per vertex, its plateau neighbors
+        for j, (_, src, dst) in enumerate(slices):
+            column = np.full(field.shape, m)
+            column[src] = np.where(grid[src] == grid[dst], local[dst], m)
+            table[:, j] = column.reshape(-1)[shared]
+        rows, is_exit = table.tolist(), lower[shared]  # each row ascending
+        heap, queued, popped = np.flatnonzero(is_exit).tolist(), is_exit.tolist() + [True], []
+        while heap:  # a sorted list is a heap
+            v = heapq.heappop(heap)
+            popped.append(v)
+            for u in rows[v]:
+                if not queued[u]:
+                    queued[u] = True
+                    heapq.heappush(heap, u)
+        when = np.argsort(popped + [m])  # per local id, its place in the pops
+        first = table[np.arange(m), (when[table] < when[:m, None]).argmax(axis=1)]
+        parent[shared[~is_exit]] = shared[first[~is_exit]]  # the least neighbor popped before
+    return parent
 
 
 def watershed_from_markers(field: ScalarField, markers, *, _known_plateaus=None) -> WatershedLabels:
@@ -166,25 +180,8 @@ def watershed_from_markers(field: ScalarField, markers, *, _known_plateaus=None)
     priority queue in ascending total order of the frontier; each takes the
     label of its total-order-least already-labeled neighbor.  Deterministic.
 
-    No queue is needed, and each vertex takes the label of its
-    steepest-descent basin, when every marker is a vertex-wise local minimum
-    and every other local minimum ``p`` lies on a plateau (a connected set
-    of equal values) that holds no marker and has exactly one vertex ``e``
-    with a strictly lower neighbor.  ``p``'s basin then takes the label of
-    ``e``'s basin, whose minimum is lower; the redirects are chased down to
-    markers.
-
-    Why: outside such plateaus every vertex but the markers has a neighbor
-    before it in the total order, so when it is the least unlabeled vertex
-    it is on the frontier; those vertices pop in total order, and each takes
-    the label of its steepest-descent step.  In such a plateau only ``e``
-    has a lower neighbor, so every other neighbor outside it is higher, and
-    while part of the plateau is unlabeled the frontier holds a vertex no
-    higher than the plateau, so none of those higher neighbors pops.  The
-    flood thus enters the plateau through ``e`` alone, after ``e``'s
-    steepest-descent step, and fills it with ``e``'s label.  A marker inside
-    the plateau would flood it too, in competition with ``e``; that is why
-    the plateau must hold none.
+    For the least vertices of the minimal plateaus, the set :func:`watershed`
+    passes, the labels come from :func:`_immersion` and no queue runs.
 
     ``_known_plateaus`` is private to :func:`watershed`, which has already
     searched the field's plateaus for its markers.
@@ -194,10 +191,13 @@ def watershed_from_markers(field: ScalarField, markers, *, _known_plateaus=None)
     bad = np.flatnonzero((ids < 0) | (ids >= field.n_vertices))
     if bad.size:
         field.check_vertex(markers[bad[0]])  # raises, naming the first bad marker
-    minima, basin, _ = _descent_basins(field)
-    redirect = _basin_redirects(field, minima, basin, markers, _known_plateaus)
-    if redirect is not None:
-        return WatershedLabels(minima[redirect[basin]], field.shape, field.connectivity)
+    plateau, lower = _plateaus(field) if _known_plateaus is None else _known_plateaus
+    marked, roots = np.zeros(field.n_vertices, dtype=bool), plateau == np.arange(field.n_vertices)
+    marked[ids.astype(np.intp)] = True
+    roots[plateau[lower]] = False  # the least vertices of the minimal plateaus
+    if np.array_equal(marked, roots):
+        labels = _jump(_immersion(field, plateau, lower))
+        return WatershedLabels(labels, field.shape, field.connectivity)
     order = filtration_order(field)
     rank = field.total_order()[1].tolist()
     nbrs = field.neighbor_lists()

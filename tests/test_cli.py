@@ -920,6 +920,10 @@ for argv in (["segment", "--t", "0.1234567"], ["saliency"], ["curve"], ["pairs",
              ["diagram", "--essential-death", "max"], ["dynamics", "--min", str(lowest["d2"])]):
     assert cli.main(argv + ["d2", "--output", "out"]) == 0
 assert cli.main(["--connectivity", "full", "pairs", "--method", "both", "d3", "--output", "out"]) == 0
+with open("q2", "w") as fh:  # integer levels: plateaus with several exits
+    fh.write("FIELD 2 20 20\\n" + "".join("%d\\n" % v for v in rng.integers(0, 4, size=400)))
+for argv in (["watershed"], ["saliency"], ["segment", "--t", "1.5"]):
+    assert cli.main(argv + ["q2", "--output", "out"]) == 0
 for conn, shape in (("axis", "20x20"), ("full", "6x6x6")):  # verify with the path oracle
     assert cli.main(["--connectivity", conn, "verify", "--trials", "1", "--shape", shape,
                      "--output", "out"]) == 0

@@ -66,6 +66,13 @@ def test_pgm_write_rejects_negative_and_overflow():
         write_field(ScalarField((1, 2), [0.0, 70000.0]), fmt="pgm-2d")
 
 
+@pytest.mark.parametrize("big", [1e20, 1e300])
+def test_pgm_write_checks_the_range_before_the_integer_cast(big):
+    # beyond int64 the cast is undefined (it read as negative, with a warning)
+    with pytest.raises(UsageError, match=f"^pgm-2d maxval {int(big)} exceeds 65535$"):
+        write_field(ScalarField((2, 2), [big, 1.0, 2.0, 3.0]), fmt="pgm-2d")
+
+
 @pytest.mark.parametrize(
     "text,fmt,fragment",
     [

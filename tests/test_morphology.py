@@ -583,6 +583,18 @@ class TestOrderKeyedLayers:
             watershed_from_markers(GRID33, [])
 
 
+def quantized_fields():
+    """64x64 smoothed noise quantized to 16 and to 256 levels: image-like
+    fields, full of plateaus with several exits."""
+    rng = np.random.default_rng(2027)
+    for levels in (16, 256, 16, 256):
+        a = rng.uniform(size=(64, 64))
+        for _ in range(3):  # a box blur of radius 2, wrapping around
+            a = sum(np.roll(a, s, axis=axis) for axis in (0, 1) for s in range(-2, 3)) / 10
+        a = (a - a.min()) / (a.max() - a.min())
+        yield ScalarField(a.shape, np.minimum(np.floor(a * levels), levels - 1))
+
+
 @pytest.fixture
 def floods(monkeypatch):
     """Fields the watershed floods on the heap (only that path reads the filtration order)."""
@@ -608,13 +620,27 @@ class TestWatershedFastPath:
             assert watershed_from_markers(f, markers).labels == reference_watershed(f, markers)
         assert floods == []
 
-    def test_tie_heavy_fields_take_both_paths(self, floods):
-        flooded = []
-        for f in tie_heavy_fields(7919):
-            before = len(floods)
-            watershed(f)
-            flooded.append(len(floods) > before)
-        assert any(flooded) and not all(flooded)
+    def test_watershed_saliency_and_segment_never_flood(self, floods):
+        ordered = 0  # vertices whose label depends on the pop order
+        for f in itertools.chain(tie_heavy_fields(6151, 320, GRIDS_4D),
+                                 tie_heavy_fields(7919, 320, GRIDS_4D), quantized_fields()):
+            assert watershed(f).labels == reference_watershed(f, minimal_regions(f))
+            saliency(f)
+            segment_pipeline(f, 0.5 if f.values.min() < 0 else 2.5)  # equal to no pair value
+            plateau, lower = morphology._plateaus(f)
+            exits = np.bincount(plateau[lower], minlength=f.n_vertices)[plateau]
+            ordered += np.count_nonzero(~lower & (exits > 1))
+        assert floods == [] and ordered > 1000
+
+    def test_two_exit_plateau_pops_in_index_order(self, floods):
+        # the plateau {1, 2, 3, 6} leaves through 3 (to minimum 8) and 6 (to
+        # minimum 11); 3 pops first and its flood reaches 2, then 1, before 6
+        # pops.  Labelling both exits up front would give 1, and then 2, the
+        # label 11 through 1's neighbor 6.
+        f = ScalarField((3, 5), [9, 5, 5, 5, 9, 9, 5, 9, 0, 9, 9, 0, 9, 9, 9])
+        labels = watershed(f).labels
+        assert labels == (8, 8, 8, 8, 8, 11, 11, 8, 8, 8, 11, 11, 11, 8, 8)
+        assert labels == reference_watershed(f, [8, 11]) and floods == []
 
     def test_other_marker_sets_flood(self, floods):
         f = random_field(4)
