@@ -241,9 +241,17 @@ def sort_vertices(field: ScalarField, vertices) -> list:
 
 
 def neighbors(field: ScalarField, v: int) -> list:
-    """Grid neighbors of ``v`` under the field's connectivity, sorted ascending."""
+    """Grid neighbors of ``v`` under the field's connectivity, sorted ascending.
+
+    The one row is computed from ``v``'s coordinates, one offset of the
+    field's :func:`offset_slices` at a time, in ascending linear offset; the
+    field's neighbor lists are not built.
+    """
     v = field.check_vertex(v)
-    return list(field.neighbor_lists()[v])
+    shape = field.shape
+    at = [int(c) for c in np.unravel_index(v, shape)]
+    return [v + _linear(shape, off) for off, _, _ in _offset_slices(field)
+            if all(0 <= c + d < e for c, d, e in zip(at, off, shape))]
 
 
 def _least_key(key, slices) -> np.ndarray:

@@ -33,7 +33,6 @@ from .grid import (
     _offset_slices,
     _replay,
     _with_values,
-    filtration_order,
 )
 from .pairing import _persistence_columns, build_merge_tree
 
@@ -129,6 +128,51 @@ def iter_edges(field: ScalarField):
     return zip(heads.tolist(), tails.tolist())
 
 
+def _rows(field: ScalarField, keys) -> np.ndarray:
+    """``(m, k)`` table over the ``m`` distinct vertex ids ``keys``: per
+    vertex, the position in ``keys`` of each neighbor, ``m`` for one outside
+    ``keys`` or outside the box.  One column per offset of the field's
+    :func:`grid.offset_slices`; only the rows of ``keys`` are built."""
+    slices = _offset_slices(field)
+    m = keys.size
+    local = np.full(field.shape, m)
+    local.reshape(-1)[keys] = np.arange(m)
+    table = np.empty((m, len(slices)), dtype=np.intp)
+    for j, (_, src, dst) in enumerate(slices):
+        column = np.full(field.shape, m)
+        column[src] = local[dst]
+        table[:, j] = column.reshape(-1)[keys]
+    return table
+
+
+def _flood(table, start, done) -> np.ndarray:
+    """Per row of ``table`` (a :func:`_rows` table, its keys in rank order),
+    the least entry popped before it, ``m`` if none was.
+
+    The keys of ``done`` count as popped before the heap starts, and those
+    of ``start`` are queued; one heap then pops the least queued key and
+    queues its row.  Each key is queued once."""
+    m = table.shape[0]
+    queued = np.zeros(m + 1, dtype=bool)
+    queued[start] = True
+    queued[table[done]] = True  # the rows of the keys done
+    queued[done] = False
+    heap = np.flatnonzero(queued[:m]).tolist()  # a sorted list is a heap
+    queued[done] = queued[m] = True  # m: the padding
+    rows, queued, popped = table.tolist(), queued.tolist(), []
+    while heap:
+        v = heapq.heappop(heap)
+        popped.append(v)
+        for u in rows[v]:
+            if not queued[u]:
+                queued[u] = True
+                heapq.heappush(heap, u)
+    when = np.full(m + 1, m + 1)  # per key, its place in the pops
+    when[done] = -1
+    when[popped] = np.arange(len(popped))
+    return np.where(when[table] < when[:m, None], table, m).min(axis=1)
+
+
 def _immersion(field: ScalarField, plateau, lower) -> np.ndarray:
     """Per vertex, the vertex whose label it takes in the flood from the
     least vertices of the minimal plateaus, given the field's
@@ -137,39 +181,26 @@ def _immersion(field: ScalarField, plateau, lower) -> np.ndarray:
     and pops a level in index order.  So an exit (a vertex with a strictly
     lower neighbor) takes its steepest step; any other vertex its plateau's
     least vertex if the plateau has no exit, the exit if it has one, else its
-    least plateau neighbor popped before it: one heap, started at those
-    plateaus' exits, pops by index and reads each vertex's plateau alone."""
+    least plateau neighbor popped before it.  Those last vertices, with the
+    exits beside them, go to :func:`_flood` in rank order, started at the
+    exits.  Their rows need no mask for the plateau: a neighbor of another
+    plateau is higher, and every vertex of a plateau pops before any higher
+    key."""
     home = plateau[lower]  # the plateau of each exit, by its least vertex
     parent = plateau.copy()  # to the plateau's least vertex, and it to an exit, if any
     parent[home] = np.flatnonzero(lower)
-    np.copyto(parent, field.total_order()[0][_descent_basins(field)[2]], where=lower)
+    order = field.total_order()[0]
+    np.copyto(parent, order[_descent_basins(field)[2]], where=lower)
     inner = (~lower & (np.bincount(home, minlength=lower.size) > 1)[plateau]).reshape(field.shape)
     if inner.any():
-        slices, grid = _offset_slices(field), plateau.reshape(field.shape)
+        grid = plateau.reshape(field.shape)
         near = inner.copy()  # with the exits beside them, the only vertices whose pops matter
-        for _, src, dst in slices:
+        for _, src, dst in _offset_slices(field):
             near[src] |= inner[dst] & (grid[src] == grid[dst])
-        shared = np.flatnonzero(near)
-        m = shared.size  # the local id of every other vertex: queued, never popped
-        local = np.full(field.shape, m)
-        local.reshape(-1)[shared] = np.arange(m)  # ascending, as the vertex ids
-        table = np.empty((m, len(slices)), dtype=np.intp)  # per vertex, its plateau neighbors
-        for j, (_, src, dst) in enumerate(slices):
-            column = np.full(field.shape, m)
-            column[src] = np.where(grid[src] == grid[dst], local[dst], m)
-            table[:, j] = column.reshape(-1)[shared]
-        rows, is_exit = table.tolist(), lower[shared]  # each row ascending
-        heap, queued, popped = np.flatnonzero(is_exit).tolist(), is_exit.tolist() + [True], []
-        while heap:  # a sorted list is a heap
-            v = heapq.heappop(heap)
-            popped.append(v)
-            for u in rows[v]:
-                if not queued[u]:
-                    queued[u] = True
-                    heapq.heappush(heap, u)
-        when = np.argsort(popped + [m])  # per local id, its place in the pops
-        first = table[np.arange(m), (when[table] < when[:m, None]).argmax(axis=1)]
-        parent[shared[~is_exit]] = shared[first[~is_exit]]  # the least neighbor popped before
+        keys = order[near.reshape(-1)[order]]
+        is_exit = lower[keys]
+        first = _flood(_rows(field, keys), np.flatnonzero(is_exit), [])
+        parent[keys[~is_exit]] = keys[first[~is_exit]]  # the least neighbor popped before
     return parent
 
 
@@ -181,7 +212,9 @@ def watershed_from_markers(field: ScalarField, markers, *, _known_plateaus=None)
     label of its total-order-least already-labeled neighbor.  Deterministic.
 
     For the least vertices of the minimal plateaus, the set :func:`watershed`
-    passes, the labels come from :func:`_immersion` and no queue runs.
+    passes, the labels come from :func:`_immersion`.  Any other marker set
+    floods the whole field: :func:`_flood` over every vertex in rank order,
+    the markers done.
 
     ``_known_plateaus`` is private to :func:`watershed`, which has already
     searched the field's plateaus for its markers.
@@ -191,41 +224,23 @@ def watershed_from_markers(field: ScalarField, markers, *, _known_plateaus=None)
     bad = np.flatnonzero((ids < 0) | (ids >= field.n_vertices))
     if bad.size:
         field.check_vertex(markers[bad[0]])  # raises, naming the first bad marker
+    ids = ids.astype(np.intp)
     plateau, lower = _plateaus(field) if _known_plateaus is None else _known_plateaus
     marked, roots = np.zeros(field.n_vertices, dtype=bool), plateau == np.arange(field.n_vertices)
-    marked[ids.astype(np.intp)] = True
+    marked[ids] = True
     roots[plateau[lower]] = False  # the least vertices of the minimal plateaus
     if np.array_equal(marked, roots):
         labels = _jump(_immersion(field, plateau, lower))
         return WatershedLabels(labels, field.shape, field.connectivity)
-    order = filtration_order(field)
-    rank = field.total_order()[1].tolist()
-    nbrs = field.neighbor_lists()
-    labels = [-1] * field.n_vertices
-    queued = [False] * field.n_vertices
-    heap = []  # ranks of the frontier; each vertex is queued once
-    for m in markers:
-        labels[m] = m
-    for m in markers:
-        for u in nbrs[m]:
-            if labels[u] < 0 and not queued[u]:
-                queued[u] = True
-                heapq.heappush(heap, rank[u])
-    while heap:
-        v = order[heapq.heappop(heap)]
-        best = -1  # total-order-least labeled neighbor
-        for u in nbrs[v]:
-            if labels[u] >= 0:
-                if best < 0 or rank[u] < rank[best]:
-                    best = u
-            elif not queued[u]:
-                queued[u] = True
-                heapq.heappush(heap, rank[u])
-        assert best >= 0, "queued vertices always have a labeled neighbor"
-        labels[v] = labels[best]
-    if -1 in labels:
+    order, rank = field.total_order()
+    done = rank[ids]
+    first = _flood(_rows(field, order), [], done)  # per rank, the rank it takes its label from
+    first[done] = done
+    if (first == field.n_vertices).any():
         raise UsageError("markers did not cover the field (empty marker set?)")
-    return WatershedLabels(np.array(labels, dtype=np.intp), field.shape, field.connectivity)
+    labels = np.empty_like(first)
+    labels[order] = order[_jump(first)]
+    return WatershedLabels(labels, field.shape, field.connectivity)
 
 
 def watershed(field: ScalarField) -> WatershedLabels:

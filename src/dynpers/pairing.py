@@ -29,6 +29,7 @@ from .grid import (
     _linear,
     _neighbor_table,
     _offset_slices,
+    neighbors,
 )
 
 INF = math.inf
@@ -433,7 +434,7 @@ def pair_1d_algorithm1(field: ScalarField, xmax: int) -> int | None:
     rank = field.total_order()[1]
     n = field.n_vertices
     kmax = rank[xmax]
-    for u in field.neighbor_lists()[xmax]:
+    for u in neighbors(field, xmax):
         if not rank[u] < kmax:
             raise UsageError(f"vertex {xmax} is not a local maximum of the field")
     if xmax == 0 or xmax == n - 1:

@@ -22,6 +22,7 @@ from .grid import (
     _kruskal,
     _offset_slices,
     _vertex_order,
+    neighbors,
 )
 
 INF = math.inf
@@ -36,9 +37,8 @@ def effort(field: ScalarField, path) -> float:
     verts = [field.check_vertex(v) for v in path]
     if not verts:
         raise UsageError("effort of an empty path is undefined")
-    nbrs = field.neighbor_lists()
     for a, b in zip(verts, verts[1:]):
-        if b not in nbrs[a]:
+        if b not in neighbors(field, a):
             raise UsageError(f"vertices {a} and {b} are consecutive in the path but not adjacent")
     vals = field.values
     seen = [float(vals[v]) for v in verts]

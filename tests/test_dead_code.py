@@ -86,3 +86,16 @@ def test_the_flood_reads_nothing_of_the_other_routes():
     assert sorted(funcs) == sorted(FLOOD)
     for name, node in funcs.items():
         assert sorted(loaded_names(node) & (OTHER_ROUTES | defined)) == [], name
+
+
+def test_one_heap_loop():
+    # the marker flood and the plateau flood share morphology._flood
+    pops = [
+        (path.name, node.lineno)
+        for path in MODULES
+        for node in ast.walk(parse(path))
+        if isinstance(node, ast.Call)
+        and (node.func.attr if isinstance(node.func, ast.Attribute)
+             else getattr(node.func, "id", None)) == "heappop"
+    ]
+    assert [name for name, _ in pops] == ["morphology.py"], pops

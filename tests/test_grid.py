@@ -153,6 +153,25 @@ class TestNeighbors:
         f = ScalarField((4, 4, 4), np.zeros(64))
         assert all(len(neighbors(f, v)) <= 6 for v in range(64))
 
+    def test_single_rows_build_no_neighbor_lists(self):
+        thin = ((1,), (1, 1), (1, 5), (3, 1), (1, 1, 4), (2, 1, 3), (2, 1, 1, 2))
+        grids = list(GRIDS_4D) + [(shape, conn) for shape in thin for conn in ("axis", "full")]
+        for shape, conn in grids:
+            n = int(np.prod(shape))
+            f = ScalarField(shape, np.zeros(n), conn)
+            rows = [neighbors(f, v) for v in range(n)]
+            assert f._neighbor_cache is None
+            assert rows == f.neighbor_lists(), (shape, conn)
+        f = ScalarField((6, 7), np.random.default_rng(5).uniform(size=42))
+        assert pathdyn.effort(f, [0, 1, 8, 15]) >= 0.0
+        with pytest.raises(UsageError, match="consecutive in the path but not adjacent"):
+            pathdyn.effort(f, [0, 8])
+        line = ScalarField((9,), [3, 1, 4, 1, 5, 9, 2, 6, 5])
+        assert pairing.pair_1d_algorithm1(line, 5) == 6
+        minima = local_minima(f)
+        morphology.watershed_from_markers(f, minima[1:])  # other markers: the whole-field flood
+        assert f._neighbor_cache is None and line._neighbor_cache is None
+
 
 class TestTotalOrder:
     def test_smaller_value_precedes(self):

@@ -570,7 +570,7 @@ class TestOrderKeyedLayers:
 
     def test_watershed_matches_tuple_heap(self):
         rng = np.random.default_rng(11)
-        for f in tie_heavy_fields(7919):
+        for f in itertools.chain(tie_heavy_fields(7919), quantized_fields()):
             markers = minimal_regions(f)
             assert watershed_from_markers(f, markers).labels == reference_watershed(f, markers)
             # random markers: duplicates and non-minima included
@@ -597,14 +597,17 @@ def quantized_fields():
 
 @pytest.fixture
 def floods(monkeypatch):
-    """Fields the watershed floods on the heap (only that path reads the filtration order)."""
+    """Tables of the whole-field floods: the heap flood started from markers
+    that count as popped (the plateau route starts from queued exits)."""
     seen = []
+    flood = morphology._flood
 
-    def spy(field):
-        seen.append(field)
-        return filtration_order(field)
+    def spy(table, start, done):
+        if len(done):
+            seen.append(table)
+        return flood(table, start, done)
 
-    monkeypatch.setattr(morphology, "filtration_order", spy)
+    monkeypatch.setattr(morphology, "_flood", spy)
     return seen
 
 
