@@ -103,9 +103,12 @@ class ScalarField:
     def neighbor_lists(self) -> list:
         """All neighbor lists at once (cached); ``lists[v]`` is sorted ascending."""
         if self._neighbor_cache is None:
-            object.__setattr__(
-                self, "_neighbor_cache", _build_neighbor_lists(self.shape, self.connectivity)
-            )
+            n = self.n_vertices
+            table = _rows(self, np.arange(n))  # n outside the box
+            lists = table.tolist()
+            for v in np.flatnonzero((table == n).any(axis=1)).tolist():
+                lists[v] = [u for u in lists[v] if u != n]
+            object.__setattr__(self, "_neighbor_cache", lists)
         return self._neighbor_cache
 
     def total_order(self) -> tuple:
@@ -189,36 +192,25 @@ def offset_slices(shape, connectivity) -> list:
     return out
 
 
-def neighbor_table(shape, connectivity) -> np.ndarray:
-    """``(n, k)`` array of every vertex's neighbors, -1 outside the box.
-
-    One column per offset, the columns in ascending linear offset, so each
-    row's neighbors are sorted ascending.
-    """
-    lin = np.arange(int(np.prod(shape))).reshape(shape)
-    return _neighbor_table(lin, offset_slices(shape, connectivity), -1)
-
-
-def _neighbor_table(grid, slices, fill) -> np.ndarray:
-    """``(n, k)`` array: per vertex, the entries of ``grid`` (an array of the
-    grid's shape) at its neighbors, ``fill`` outside the box.
-
-    One column per offset of the grid's :func:`offset_slices` ``slices``, in
-    their order.
-    """
-    table = np.full(grid.shape + (len(slices),), fill, dtype=grid.dtype)
+def _rows(field: ScalarField, keys) -> np.ndarray:
+    """``(m, k)`` table over the ``m`` distinct vertex ids ``keys``: per
+    row, the position in ``keys`` of each neighbor of its vertex, ``m`` for
+    one outside ``keys`` or outside the box, in the least unsigned type that
+    holds ``m``.  One column per offset of the field's :func:`offset_slices`,
+    in their order (ascending linear offset); the table is built one column
+    at a time for the rows of ``keys`` only."""
+    slices = _offset_slices(field)
+    m = keys.size
+    dtype = np.min_scalar_type(m)
+    local = np.full(field.shape, m, dtype=dtype)
+    local.reshape(-1)[keys] = np.arange(m)
+    table = np.empty((m, len(slices)), dtype=dtype)
+    column = np.empty_like(local)
     for j, (_, src, dst) in enumerate(slices):
-        table[src + (j,)] = grid[dst]
-    return table.reshape(grid.size, len(slices))
-
-
-def _build_neighbor_lists(shape, connectivity) -> list:
-    # -1 is filtered only from the rows that hold one.
-    table = neighbor_table(shape, connectivity)
-    lists = table.tolist()
-    for v in np.flatnonzero((table < 0).any(axis=1)).tolist():
-        lists[v] = [u for u in lists[v] if u >= 0]
-    return lists
+        column.fill(m)
+        column[src] = local[dst]
+        table[:, j] = column.reshape(-1)[keys]
+    return table
 
 
 def precedes(field: ScalarField, a: int, b: int) -> bool:

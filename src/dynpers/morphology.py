@@ -32,6 +32,7 @@ from .grid import (
     _linear,
     _offset_slices,
     _replay,
+    _rows,
     _with_values,
 )
 from .pairing import _persistence_columns, build_merge_tree
@@ -128,26 +129,9 @@ def iter_edges(field: ScalarField):
     return zip(heads.tolist(), tails.tolist())
 
 
-def _rows(field: ScalarField, keys) -> np.ndarray:
-    """``(m, k)`` table over the ``m`` distinct vertex ids ``keys``: per
-    vertex, the position in ``keys`` of each neighbor, ``m`` for one outside
-    ``keys`` or outside the box.  One column per offset of the field's
-    :func:`grid.offset_slices`; only the rows of ``keys`` are built."""
-    slices = _offset_slices(field)
-    m = keys.size
-    local = np.full(field.shape, m)
-    local.reshape(-1)[keys] = np.arange(m)
-    table = np.empty((m, len(slices)), dtype=np.intp)
-    for j, (_, src, dst) in enumerate(slices):
-        column = np.full(field.shape, m)
-        column[src] = local[dst]
-        table[:, j] = column.reshape(-1)[keys]
-    return table
-
-
 def _flood(table, start, done) -> np.ndarray:
-    """Per row of ``table`` (a :func:`_rows` table, its keys in rank order),
-    the least entry popped before it, ``m`` if none was.
+    """Per row of ``table`` (a :func:`grid._rows` table, its keys in rank
+    order), the least entry popped before it, ``m`` if none was, as ``intp``.
 
     The keys of ``done`` count as popped before the heap starts, and those
     of ``start`` are queued; one heap then pops the least queued key and
@@ -170,7 +154,7 @@ def _flood(table, start, done) -> np.ndarray:
     when = np.full(m + 1, m + 1)  # per key, its place in the pops
     when[done] = -1
     when[popped] = np.arange(len(popped))
-    return np.where(when[table] < when[:m, None], table, m).min(axis=1)
+    return np.where(when[table] < when[:m, None], table, m).min(axis=1).astype(np.intp)
 
 
 def _immersion(field: ScalarField, plateau, lower) -> np.ndarray:

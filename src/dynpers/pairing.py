@@ -27,8 +27,8 @@ from .grid import (
     _is_box,
     _kruskal,
     _linear,
-    _neighbor_table,
     _offset_slices,
+    _rows,
     neighbors,
 )
 
@@ -308,10 +308,8 @@ def _lower_rows(field: ScalarField) -> tuple:
             los.append(lesser[kept])
         hi, lo = np.concatenate(his), np.concatenate(los)
         return lo[np.argsort(hi, kind="stable")], np.bincount(hi, minlength=n).tolist()
-    # outside the box reads n, which precedes no rank; the least type that holds n
-    rank = rank.astype(np.min_scalar_type(n))
-    nrank = _neighbor_table(rank.reshape(shape), slices, n)[order]
-    keep = nrank < np.arange(n, dtype=rank.dtype)[:, None]
+    nrank = _rows(field, order)  # per rank, its neighbors' ranks; n, outside, precedes none
+    keep = nrank < np.arange(n, dtype=nrank.dtype)[:, None]
     counts = keep.sum(axis=1)
     # an integer gather: a boolean mask would branch on every entry
     lower = nrank.reshape(-1)[np.flatnonzero(keep)]

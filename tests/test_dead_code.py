@@ -2,11 +2,13 @@
 code, and a flooding route that reads nothing of the other routes."""
 
 import ast
+import tomllib
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "dynpers"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "dynpers"
 MODULES = sorted(SRC.glob("*.py"))
 
 
@@ -61,6 +63,32 @@ def test_every_private_definition_is_referenced():
             if isinstance(node, ast.ImportFrom):
                 used.update(a.name for a in node.names)
     assert sorted(f"{m}:{name}" for m, name in private if name not in used) == []
+
+
+def test_every_public_definition_is_exported_or_read():
+    # a public function or class of a submodule that the package neither exports, reads
+    # nor installs as a script is kept alive by its tests alone
+    trees = {path.name: parse(path) for path in MODULES}
+    exported = {name for node in trees["__init__.py"].body if isinstance(node, ast.Assign)
+                for t in node.targets if isinstance(t, ast.Name) and t.id == "__all__"
+                for name in ast.literal_eval(node.value)}
+    read = set().union(*map(loaded_names, trees.values()))
+    for tree in trees.values():  # a name imported from a sibling module is read there
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                read.update(a.name for a in node.names)
+    scripts = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))
+    entries = {tuple(target.split(":")) for target in scripts["project"]["scripts"].values()}
+    unread = [
+        f"{module}:{node.name}"
+        for module, tree in trees.items()
+        if module != "__init__.py"
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+        and node.name not in exported and node.name not in read
+        and (f"dynpers.{module[:-3]}", node.name) not in entries
+    ]
+    assert exported and entries and unread == []
 
 
 FLOOD = ("_lower_rows", "_dynamics_columns")

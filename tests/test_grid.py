@@ -24,7 +24,6 @@ from dynpers import (
 from dynpers import build_merge_tree, cli, grid, morphology, pairing, pathdyn
 from dynpers.grid import (
     _box_minima,
-    _build_neighbor_lists,
     _candidate_edges,
     _cut_edges,
     _descent,
@@ -34,7 +33,6 @@ from dynpers.grid import (
     _offset_slices,
     _replay,
     _vertex_order,
-    neighbor_table,
     offset_slices,
 )
 from dynpers.morphology import _fuse_levels, _reconstruction_tree
@@ -147,7 +145,8 @@ class TestNeighbors:
             for shape in itertools.product(range(1, top + 1), repeat=ndim):
                 for conn in Connectivity:
                     expected = reference_neighbor_lists(shape, conn)
-                    assert _build_neighbor_lists(shape, conn) == expected, (shape, conn)
+                    f = ScalarField(shape, np.zeros(int(np.prod(shape))), conn)
+                    assert f.neighbor_lists() == expected, (shape, conn)
 
     def test_axis_degree_bound(self):
         f = ScalarField((4, 4, 4), np.zeros(64))
@@ -171,6 +170,42 @@ class TestNeighbors:
         minima = local_minima(f)
         morphology.watershed_from_markers(f, minima[1:])  # other markers: the whole-field flood
         assert f._neighbor_cache is None and line._neighbor_cache is None
+
+
+class TestRows:
+    THIN = ((1,), (1, 1), (1, 5), (3, 1), (1, 1, 4), (2, 1, 3), (2, 1, 1, 2))
+
+    @staticmethod
+    def reference_row(shape, offsets, at, v):
+        """Per offset, in order, the position in ``keys`` of ``v``'s neighbor
+        there, from ``v``'s coordinates; None outside the box or ``keys``."""
+        coords = np.unravel_index(v, shape)
+        row = []
+        for off in offsets:
+            u = [c + d for c, d in zip(coords, off)]
+            inside = all(0 <= c < e for c, e in zip(u, shape))
+            row.append(at.get(int(np.ravel_multi_index(u, shape))) if inside else None)
+        return row
+
+    def test_rows_are_the_per_vertex_neighbor_positions(self):
+        rng = np.random.default_rng(7027)
+        shapes = sorted({shape for shape, _ in GRIDS_4D}) + list(self.THIN)
+        for shape, conn in itertools.product(shapes, ("axis", "full")):
+            n = int(np.prod(shape))
+            f = ScalarField(shape, rng.integers(0, 3, n).astype(float), conn)
+            offsets = [off for off, _, _ in offset_slices(shape, f.connectivity)]
+            subset = rng.permutation(n)[:rng.integers(1, n + 1)]
+            for keys in (np.arange(n), f.total_order()[0], subset, rng.integers(0, n, 1)):
+                m = keys.size
+                table = grid._rows(f, keys)
+                assert table.dtype == np.min_scalar_type(m) and table.shape == (m, len(offsets))
+                at = {v: i for i, v in enumerate(keys.tolist())}
+                for row, v in zip(table.tolist(), keys.tolist()):
+                    expected = self.reference_row(shape, offsets, at, v)
+                    assert row == [m if p is None else p for p in expected], (shape, conn, v)
+            # over every vertex the positions are the vertex ids, so each row ascends
+            rows = [[u for u in row if u != n] for row in grid._rows(f, np.arange(n)).tolist()]
+            assert rows == reference_neighbor_lists(shape, f.connectivity)
 
 
 class TestTotalOrder:
@@ -306,8 +341,8 @@ class TestExtentOneAxes:
     def test_results_match_the_squeezed_grid(self, shape):
         rng = np.random.default_rng(11)
         for conn in ("axis", "full"):
-            assert np.array_equal(neighbor_table(shape, Connectivity(conn)),
-                                  neighbor_table((5, 4), Connectivity(conn)))
+            squeezed = reference_neighbor_lists((5, 4), Connectivity(conn))
+            assert reference_neighbor_lists(shape, Connectivity(conn)) == squeezed
             for _ in range(5):
                 values = rng.integers(0, 4, 20).astype(float)
                 f, g = ScalarField(shape, values, conn), ScalarField((5, 4), values, conn)
@@ -356,11 +391,11 @@ class TestGridHelpersAgainstReferences:
                     for column, reference in zip(got, expected):
                         assert column.dtype == np.intp
                         assert np.array_equal(column, reference)
-            heads, tails = edges  # every edge once, as the neighbor table has it
-            table = neighbor_table(shape, Connectivity(conn))
-            assert np.all(heads < tails) and heads.size == np.count_nonzero(table >= 0) // 2
+            heads, tails = edges  # every edge once, as the neighbor lists have it
+            lists = reference_neighbor_lists(shape, Connectivity(conn))
+            assert np.all(heads < tails) and heads.size == sum(map(len, lists)) // 2
             assert set(zip(heads.tolist(), tails.tolist())) == {
-                (v, u) for v, row in enumerate(table.tolist()) for u in row if u > v}
+                (v, u) for v, row in enumerate(lists) for u in row if u > v}
 
 
 class TestGeometryCache:
@@ -456,10 +491,10 @@ class TestBoxMinima:
             n = int(np.prod(shape))
             for conn in Connectivity:
                 slices = offset_slices(shape, conn)
-                table = neighbor_table(shape, conn)
+                lists = reference_neighbor_lists(shape, conn)
                 key = rng.permutation(n)
-                expected = [min([key[v]] + [key[u] for u in row if u >= 0])
-                            for v, row in enumerate(table.tolist())]
+                expected = [min([key[v]] + [key[u] for u in row])
+                            for v, row in enumerate(lists)]
                 got = grid._least_key(key.reshape(shape), slices)
                 assert got.dtype == key.dtype and got.tolist() == expected
 
@@ -476,8 +511,8 @@ class TestBoxMinima:
                 if not grid._is_box(shape, _offset_slices(f)):
                     assert set(zip(heads.tolist(), tails.tolist())) == every
                     continue
-                closed = [set(row[row >= 0].tolist()) | {v}
-                          for v, row in enumerate(neighbor_table(shape, Connectivity.FULL))]
+                lists = reference_neighbor_lists(shape, Connectivity.FULL)
+                closed = [set(row) | {v} for v, row in enumerate(lists)]
                 expected = {(a, b) for a, b in every
                             if min(key[a], key[b]) == min(key[w] for w in closed[a] & closed[b])}
                 got = list(zip(heads.tolist(), tails.tolist()))

@@ -455,9 +455,8 @@ class TestPersistenceRouteBuildsNoNeighborLists:
         def forbidden(*args, **kwargs):
             raise AssertionError("the merge tree built the neighbor table")
 
-        monkeypatch.setattr(grid, "neighbor_table", forbidden)
-        for module in (grid, pairing, morphology):  # morphology has no such name; keep it so
-            monkeypatch.setattr(module, "_neighbor_table", forbidden, raising=False)
+        for module in (grid, pairing, morphology):  # grid's one table builder, where it is read
+            monkeypatch.setattr(module, "_rows", forbidden)
         for run in (build_merge_tree, _persistence_columns, lambda f: filter_dynamics(f, 1.5)):
             run(self.fresh())
         # nor does saliency's edge map, where its watershed needs no queue flood

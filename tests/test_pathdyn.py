@@ -15,7 +15,6 @@ from dynpers import (
     local_minima,
     pair_by_dynamics,
 )
-from dynpers.grid import neighbor_table
 from dynpers.pathdyn import oracle_columns
 from fields import GRIDS_4D, tie_heavy_fields
 
@@ -56,14 +55,14 @@ def reference_oracle(field, m):
 def key_graph(field):
     """``(keys, verts, rows)``: the grid graph renumbered by the ``(value,
     index)`` order, as lists of Python ints.  ``rows[k]`` lists the keys of
-    the neighbors of ``verts[k]``, -1 for a neighbor outside the box."""
+    the neighbors of ``verts[k]``."""
     n = field.n_vertices
     verts = np.lexsort((np.arange(n), field.values))
-    keys = np.empty(n + 1, dtype=np.intp)
+    keys = np.empty(n, dtype=np.intp)
     keys[verts] = np.arange(n)
-    keys[n] = -1  # what the table's -1 entries read
-    table = keys[neighbor_table(field.shape, field.connectivity)[verts]]
-    return keys[:n].tolist(), verts.tolist(), table.tolist()
+    lists = field.neighbor_lists()
+    rows = [keys[lists[v]].tolist() for v in verts.tolist()]
+    return keys.tolist(), verts.tolist(), rows
 
 
 def flood_oracle(field, m, graph):
@@ -81,7 +80,7 @@ def flood_oracle(field, m, graph):
     if key_m == 0:
         return (math.inf, None)
 
-    seen = {-1, key_m}  # -1 stands for every neighbor outside the box
+    seen = {key_m}
     frontier = [key_m]
     top = key_m
     while frontier:
